@@ -90,15 +90,6 @@ struct KernelTable {
   /// Probability::clamped contract (NaN -> 0, then clamp to [0,1]).
   /// Returns 1.0 when n == 0.
   double (*min_complement)(const double* s, std::size_t n);
-
-  /// out[i] = (a[i] * b[i]) * c[i] — the Eq. 1 factor product, in the exact
-  /// association order of Probability::both chaining.
-  void (*triple_product)(const double* a, const double* b, const double* c,
-                         double* out, std::size_t n);
-
-  /// out[i] = 1 - (1-r[i])*(1-r[i]) — fail-stop duplex reliability, in the
-  /// exact operation order of replicated_process_reliability.
-  void (*duplex_reliability)(const double* r, double* out, std::size_t n);
 };
 
 /// True when the kSimd backend is compiled in and the CPU supports it.

@@ -138,26 +138,13 @@ double min_complement(const double* s, std::size_t n) {
   return min_value;
 }
 
-void triple_product(const double* a, const double* b, const double* c,
-                    double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = (a[i] * b[i]) * c[i];
-}
-
-void duplex_reliability(const double* r, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double fail = 1.0 - r[i];
-    out[i] = 1.0 - fail * fail;
-  }
-}
-
 }  // namespace autovec
 
 const KernelTable kAutoVecTable = {
     autovec::fill_uniforms,  autovec::axpy,
     autovec::axpy_rows,      autovec::csr_axpy,
     autovec::less_than,      autovec::bernoulli,
-    autovec::min_complement, autovec::triple_product,
-    autovec::duplex_reliability,
+    autovec::min_complement,
 };
 
 }  // namespace fcm::simd::detail

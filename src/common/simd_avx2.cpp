@@ -390,39 +390,13 @@ double min_complement_avx2(const double* s, std::size_t n) {
   return min_value;
 }
 
-void triple_product_avx2(const double* a, const double* b, const double* c,
-                         double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ab =
-        _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(ab, _mm256_loadu_pd(c + i)));
-  }
-  for (; i < n; ++i) out[i] = (a[i] * b[i]) * c[i];
-}
-
-void duplex_reliability_avx2(const double* r, double* out, std::size_t n) {
-  const __m256d ones = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d fail = _mm256_sub_pd(ones, _mm256_loadu_pd(r + i));
-    _mm256_storeu_pd(out + i,
-                     _mm256_sub_pd(ones, _mm256_mul_pd(fail, fail)));
-  }
-  for (; i < n; ++i) {
-    const double fail = 1.0 - r[i];
-    out[i] = 1.0 - fail * fail;
-  }
-}
-
 }  // namespace
 
 const KernelTable kSimdTable = {
     fill_uniforms_avx2,  axpy_avx2,
     axpy_rows_avx2,      csr_axpy_avx2,
     less_than_avx2,      bernoulli_avx2,
-    min_complement_avx2, triple_product_avx2,
-    duplex_reliability_avx2,
+    min_complement_avx2,
 };
 
 }  // namespace fcm::simd::detail

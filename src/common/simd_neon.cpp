@@ -65,37 +65,13 @@ double min_complement_neon(const double* s, std::size_t n) {
   return min_value;
 }
 
-void triple_product_neon(const double* a, const double* b, const double* c,
-                         double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t ab = vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
-    vst1q_f64(out + i, vmulq_f64(ab, vld1q_f64(c + i)));
-  }
-  for (; i < n; ++i) out[i] = (a[i] * b[i]) * c[i];
-}
-
-void duplex_reliability_neon(const double* r, double* out, std::size_t n) {
-  const float64x2_t ones = vdupq_n_f64(1.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t fail = vsubq_f64(ones, vld1q_f64(r + i));
-    vst1q_f64(out + i, vsubq_f64(ones, vmulq_f64(fail, fail)));
-  }
-  for (; i < n; ++i) {
-    const double fail = 1.0 - r[i];
-    out[i] = 1.0 - fail * fail;
-  }
-}
-
 }  // namespace
 
 const KernelTable kSimdTable = {
     autovec::fill_uniforms, axpy_neon,
     autovec::axpy_rows,     autovec::csr_axpy,
     less_than_neon,         autovec::bernoulli,
-    min_complement_neon,    triple_product_neon,
-    duplex_reliability_neon,
+    min_complement_neon,
 };
 
 }  // namespace fcm::simd::detail

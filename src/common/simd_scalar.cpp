@@ -82,26 +82,13 @@ double min_complement_scalar(const double* s, std::size_t n) {
   return min_value;
 }
 
-void triple_product_scalar(const double* a, const double* b, const double* c,
-                           double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = (a[i] * b[i]) * c[i];
-}
-
-void duplex_reliability_scalar(const double* r, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double fail = 1.0 - r[i];
-    out[i] = 1.0 - fail * fail;
-  }
-}
-
 }  // namespace
 
 const KernelTable kScalarTable = {
     fill_uniforms_scalar,  axpy_scalar,
     axpy_rows_scalar,      csr_axpy_scalar,
     less_than_scalar,      bernoulli_scalar,
-    min_complement_scalar, triple_product_scalar,
-    duplex_reliability_scalar,
+    min_complement_scalar,
 };
 
 }  // namespace fcm::simd::detail

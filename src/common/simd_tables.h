@@ -28,9 +28,6 @@ void less_than(const double* u, double threshold, std::uint8_t* dst,
 void bernoulli(std::uint64_t* state, std::uint64_t inc, double threshold,
                std::uint8_t* dst, std::size_t n);
 double min_complement(const double* s, std::size_t n);
-void triple_product(const double* a, const double* b, const double* c,
-                    double* out, std::size_t n);
-void duplex_reliability(const double* r, double* out, std::size_t n);
 }  // namespace autovec
 
 }  // namespace fcm::simd::detail

@@ -1,9 +1,6 @@
 #include "core/influence.h"
 
-#include <algorithm>
-
 #include "common/error.h"
-#include "common/simd.h"
 
 namespace fcm::core {
 
@@ -11,33 +8,6 @@ namespace {
 std::uint64_t pair_key(std::size_t from, std::size_t to) noexcept {
   return (static_cast<std::uint64_t>(from) << 32) |
          static_cast<std::uint64_t>(to);
-}
-
-// Eq. 2 over a pair's factors with the Eq. 1 triple products evaluated as
-// one SoA batch: out[i] = (occ[i] * trans[i]) * eff[i], the exact
-// association order of Probability::both chaining, so each batched product
-// is bit-identical to InfluenceFactor::probability(). Factors in [0,1]
-// multiply into [0,1], so Probability::clamped is a bitwise pass-through.
-Probability combine_factors(const std::vector<InfluenceFactor>& factors) {
-  const std::size_t m = factors.size();
-  std::vector<double> soa(4 * m);
-  double* occurrence = soa.data();
-  double* transmission = occurrence + m;
-  double* effect = transmission + m;
-  double* product = effect + m;
-  for (std::size_t i = 0; i < m; ++i) {
-    occurrence[i] = factors[i].occurrence.value();
-    transmission[i] = factors[i].transmission.value();
-    effect[i] = factors[i].effect.value();
-  }
-  simd::kernels().triple_product(occurrence, transmission, effect, product,
-                                 m);
-  std::vector<Probability> ps;
-  ps.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    ps.push_back(Probability::clamped(product[i]));
-  }
-  return any_of(ps);  // Eq. 2
 }
 }  // namespace
 
@@ -101,10 +71,6 @@ std::size_t InfluenceModel::add_member(FcmId id, std::string name) {
     if (members_[i].id == id) return i;
   }
   members_.push_back(Member{id, std::move(name)});
-  // A new member changes the model's shape (matrix dimensions) even though
-  // no cached pair value becomes stale; bump the revision for shape-keyed
-  // consumers like SeparationCache.
-  ++revision_;
   return members_.size() - 1;
 }
 
@@ -141,9 +107,6 @@ void InfluenceModel::add_factor(FcmId from, FcmId to, InfluenceFactor factor) {
   FCM_REQUIRE(!data.direct.has_value(),
               "pair already carries a direct influence value");
   data.factors.push_back(std::move(factor));
-  ++revision_;
-  cache_stats_.invalidations +=
-      value_cache_.erase(pair_key(index_of(from), index_of(to)));
 }
 
 void InfluenceModel::set_direct(FcmId from, FcmId to, Probability influence) {
@@ -151,30 +114,21 @@ void InfluenceModel::set_direct(FcmId from, FcmId to, Probability influence) {
   FCM_REQUIRE(data.factors.empty(),
               "pair already carries influence factors");
   data.direct = influence;
-  ++revision_;
-  cache_stats_.invalidations +=
-      value_cache_.erase(pair_key(index_of(from), index_of(to)));
+}
+
+Probability InfluenceModel::combined(const PairData& data) {
+  if (data.direct) return *data.direct;
+  std::vector<Probability> ps;
+  ps.reserve(data.factors.size());
+  for (const InfluenceFactor& f : data.factors) {
+    ps.push_back(f.probability());
+  }
+  return any_of(ps);  // Eq. 2
 }
 
 Probability InfluenceModel::influence(FcmId from, FcmId to) const {
-  const std::uint64_t key = pair_key(index_of(from), index_of(to));
-  if (const auto cached = value_cache_.find(key);
-      cached != value_cache_.end()) {
-    ++cache_stats_.hits;
-    return cached->second;
-  }
-  ++cache_stats_.misses;
-  Probability result = Probability::zero();
-  if (const auto it = pairs_.find(key); it != pairs_.end()) {
-    const PairData& data = it->second;
-    if (data.direct) {
-      result = *data.direct;
-    } else {
-      result = combine_factors(data.factors);
-    }
-  }
-  value_cache_.emplace(key, result);
-  return result;
+  const PairData* data = pair(from, to);
+  return data == nullptr ? Probability::zero() : combined(*data);
 }
 
 Probability InfluenceModel::influence(FcmId from, FcmId to,
@@ -209,15 +163,14 @@ graph::Digraph InfluenceModel::to_graph() const {
       if (from == to) continue;
       const auto it = pairs_.find(pair_key(from, to));
       if (it == pairs_.end()) continue;
-      const Probability p = influence(members_[from].id, members_[to].id);
       std::string label;
       for (const InfluenceFactor& f : it->second.factors) {
         if (!label.empty()) label += ',';
         label += to_string(f.kind);
       }
       g.add_edge(static_cast<graph::NodeIndex>(from),
-                 static_cast<graph::NodeIndex>(to), p.value(),
-                 std::move(label));
+                 static_cast<graph::NodeIndex>(to),
+                 combined(it->second).value(), std::move(label));
     }
   }
   return g;
@@ -230,8 +183,7 @@ graph::Matrix InfluenceModel::to_matrix() const {
       if (from == to) continue;
       const auto it = pairs_.find(pair_key(from, to));
       if (it == pairs_.end()) continue;
-      m.at(from, to) =
-          influence(members_[from].id, members_[to].id).value();
+      m.at(from, to) = combined(it->second).value();
     }
   }
   return m;

@@ -41,9 +41,9 @@ enum class FactorKind : std::uint8_t {
 
 const char* to_string(FactorKind kind) noexcept;
 
-/// Counters exposed by the memoization layers (per-pair influence memo,
-/// separation cache, clustering quotient cache) so benches, tests, and the
-/// fcm_tool example can report cache effectiveness.
+/// Counters exposed by the memoization layers (separation cache, clustering
+/// quotient cache) so benches, tests, and the fcm_tool example can report
+/// cache effectiveness.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -79,7 +79,8 @@ struct InfluenceFactor {
 
 /// The influence structure over one set of sibling FCMs. Members are
 /// registered once; factors (or direct influence values) attach to ordered
-/// member pairs.
+/// member pairs. A plain value: the const methods only read, so any number
+/// of threads may query one model concurrently while nobody mutates it.
 class InfluenceModel {
  public:
   InfluenceModel() = default;
@@ -103,11 +104,9 @@ class InfluenceModel {
   /// Mutually exclusive with factors on the same pair.
   void set_direct(FcmId from, FcmId to, Probability influence);
 
-  /// Eq. 2: combined influence of `from` on `to` (zero when no factors).
-  /// Memoized per ordered pair: repeated queries (clustering heuristics,
-  /// role summaries, matrix exports) hit a cache that is invalidated
-  /// precisely when the pair's factors or direct value mutate. Not
-  /// thread-safe — the memo mutates under a const interface.
+  /// Eq. 2: combined influence of `from` on `to` (zero when no factors),
+  /// computed from the pair's factors on every call. Safe for concurrent
+  /// const use.
   [[nodiscard]] Probability influence(FcmId from, FcmId to) const;
 
   /// Eq. 2 with the source FCM's isolation config applied to every factor.
@@ -130,24 +129,14 @@ class InfluenceModel {
   /// indexed by registration order (input to separation analysis, Eq. 3).
   [[nodiscard]] graph::Matrix to_matrix() const;
 
-  /// Monotone revision counter, bumped by every mutation (member, factor,
-  /// or direct-value changes). External caches — SeparationCache, the
-  /// clustering quotient cache — key derived results on it to detect
-  /// staleness without deep comparisons.
-  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
-
-  /// Hit/miss/invalidation counters of the per-pair Eq. 2 memo.
-  [[nodiscard]] const CacheStats& cache_stats() const noexcept {
-    return cache_stats_;
-  }
-  void reset_cache_stats() const noexcept { cache_stats_ = CacheStats{}; }
-
  private:
   struct PairData {
     std::vector<InfluenceFactor> factors;
     std::optional<Probability> direct;
   };
 
+  /// Eq. 2 for one pair with no isolation in effect.
+  [[nodiscard]] static Probability combined(const PairData& data);
   [[nodiscard]] const PairData* pair(FcmId from, FcmId to) const;
   PairData& pair_mutable(FcmId from, FcmId to);
 
@@ -158,11 +147,6 @@ class InfluenceModel {
   std::vector<Member> members_;
   // (from index << 32 | to index) -> data.
   std::unordered_map<std::uint64_t, PairData> pairs_;
-  // Memo of the no-isolation Eq. 2 value per ordered pair (absent pairs
-  // cache Probability::zero() too — clustering probes many empty pairs).
-  mutable std::unordered_map<std::uint64_t, Probability> value_cache_;
-  mutable CacheStats cache_stats_;
-  std::uint64_t revision_ = 0;
 };
 
 }  // namespace fcm::core

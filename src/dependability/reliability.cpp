@@ -1,10 +1,8 @@
 #include "dependability/reliability.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
-#include "common/simd.h"
 
 namespace fcm::dependability {
 
@@ -70,33 +68,6 @@ double replicated_process_reliability(double replica_reliability,
   }
   const int voters = replication % 2 == 1 ? replication : replication - 1;
   return nmr_reliability(replica_reliability, voters);
-}
-
-void replicated_process_reliability_batch(
-    std::span<const double> replica_reliabilities, int replication,
-    std::span<double> out) {
-  FCM_REQUIRE(out.size() == replica_reliabilities.size(),
-              "batched reliability output span must match the input size");
-  FCM_REQUIRE(replication >= 1, "replication degree must be positive");
-  for (const double r : replica_reliabilities) check_unit(r);
-  if (replication == 1) {
-    std::copy(replica_reliabilities.begin(), replica_reliabilities.end(),
-              out.begin());
-    return;
-  }
-  if (replication == 2) {
-    simd::kernels().duplex_reliability(replica_reliabilities.data(),
-                                       out.data(),
-                                       replica_reliabilities.size());
-    return;
-  }
-  // NMR keeps the scalar closed form in every backend: std::pow is correctly
-  // rounded only to ~1 ulp, so re-deriving it vectorized could legally
-  // change bits. Sharing one code path keeps the determinism contract.
-  const int voters = replication % 2 == 1 ? replication : replication - 1;
-  for (std::size_t i = 0; i < replica_reliabilities.size(); ++i) {
-    out[i] = nmr_reliability(replica_reliabilities[i], voters);
-  }
 }
 
 }  // namespace fcm::dependability

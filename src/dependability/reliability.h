@@ -31,15 +31,4 @@ double series_reliability(std::span<const double> module_reliabilities);
 double replicated_process_reliability(double replica_reliability,
                                       int replication);
 
-/// Batched replicated_process_reliability over a shared replication degree:
-/// out[i] = replicated_process_reliability(replica_reliabilities[i],
-/// replication), bit-identical to the scalar call on every backend. Simplex
-/// copies; duplex goes through the vectorized 1 - (1-r)² kernel; NMR
-/// (replication >= 3) stays on the shared scalar closed form, because its
-/// std::pow terms are not guaranteed bitwise-stable under re-derivation.
-/// Requires out.size() == replica_reliabilities.size().
-void replicated_process_reliability_batch(
-    std::span<const double> replica_reliabilities, int replication,
-    std::span<double> out);
-
 }  // namespace fcm::dependability

@@ -61,19 +61,16 @@ struct Job {
 };
 
 // Thread-local execution context: set while a thread runs blocks of any
-// submission (pool worker, spawned legacy worker, caller lane 0, or the
-// serial path). Nested parallel_for_blocks calls check it to run inline.
+// submission (pool worker, caller lane 0, or the serial path). Nested parallel_for_blocks calls check it to run inline.
 thread_local bool t_in_task = false;
 
 // Monotone top-level submission ids. The pool path allocates its id while
 // holding Pool::submit_mutex_, so id order matches submission order even
 // when distinct threads submit concurrently — span/pid attribution stays
-// deterministic for a fixed program. The serial and test-only spawn paths
-// allocate at the call site; concurrent top-level callers on those paths
-// would get arbitrary (but still unique) ids.
+// deterministic for a fixed program. The serial path allocates at the call
+// site; concurrent top-level callers on that path would get arbitrary (but
+// still unique) ids.
 std::atomic<std::uint64_t> g_next_submission{1};
-
-std::atomic<Backend> g_backend{Backend::kPersistentPool};
 
 // RAII: marks the current thread as an executor task and points span
 // attribution at `submission` for the duration.
@@ -288,40 +285,6 @@ class Pool {
   bool shutdown_ = false;
 };
 
-// The retired per-call engine, preserved verbatim in spirit: spawn `lanes`
-// threads, share one block counter, join. Differential tests flip to this
-// backend to prove the pool changes nothing but speed.
-void run_spawn_per_call(const BlockFn& fn, std::uint64_t n_blocks,
-                        std::uint32_t lanes, std::uint64_t submission) {
-  Job job;  // reused for its error slot and failed flag only
-  job.submission = submission;
-  // 64-bit so the per-lane overshooting fetch_add cannot wrap when
-  // n_blocks is near the 32-bit FCM_REQUIRE bound.
-  std::atomic<std::uint64_t> next_block{0};
-  auto worker = [&](std::uint32_t lane) {
-    TaskScope scope(submission);
-    try {
-      for (;;) {
-        if (job.failed.load(std::memory_order_relaxed)) break;
-        const std::uint64_t block =
-            next_block.fetch_add(1, std::memory_order_relaxed);
-        if (block >= n_blocks) break;
-        fn(block, lane);
-      }
-    } catch (...) {
-      job.record_error(std::current_exception());
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(lanes - 1);
-  for (std::uint32_t lane = 1; lane < lanes; ++lane) {
-    pool.emplace_back(worker, lane);
-  }
-  worker(0);
-  for (std::thread& thread : pool) thread.join();
-  if (job.error) std::rethrow_exception(job.error);
-}
-
 std::uint32_t env_threads() {
   const char* raw = std::getenv("FCM_THREADS");
   if (raw == nullptr || *raw == '\0') return 0;
@@ -380,13 +343,6 @@ void parallel_for_blocks(std::uint64_t n_blocks, std::uint32_t threads,
     return;
   }
 
-  if (backend_for_tests() == Backend::kSpawnPerCall) {
-    run_spawn_per_call(
-        fn, n_blocks, lanes,
-        g_next_submission.fetch_add(1, std::memory_order_relaxed));
-    return;
-  }
-
   Job job;  // job.submission is assigned by Pool::run under submit_mutex_
   job.fn = &fn;
   job.lanes = lanes;
@@ -407,14 +363,6 @@ void parallel_for_blocks(std::uint64_t n_blocks, std::uint32_t threads,
   const std::uint64_t steals = job.steals.load(std::memory_order_relaxed);
   if (steals > 0) FCM_OBS_COUNT("exec.sched.steals", steals);
   if (job.error) std::rethrow_exception(job.error);
-}
-
-void set_backend_for_tests(Backend backend) noexcept {
-  g_backend.store(backend, std::memory_order_relaxed);
-}
-
-Backend backend_for_tests() noexcept {
-  return g_backend.load(std::memory_order_relaxed);
 }
 
 std::uint32_t pool_size() noexcept { return Pool::instance().size(); }

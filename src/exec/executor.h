@@ -103,22 +103,6 @@ class BlockFn {
 void parallel_for_blocks(std::uint64_t n_blocks, std::uint32_t threads,
                          BlockFn fn);
 
-/// Which engine executes `parallel_for_blocks`.
-enum class Backend : std::uint8_t {
-  /// The persistent work-stealing pool (the production path).
-  kPersistentPool,
-  /// One `std::vector<std::thread>` spawned and joined per call — the
-  /// pre-executor behavior of the five migrated subsystems, kept for one
-  /// PR so differential tests can assert the pool changes nothing but
-  /// speed. Test-only; scheduled for removal.
-  kSpawnPerCall,
-};
-
-/// Selects the execution backend process-wide. Test-only: differential
-/// tests flip this to prove report bytes are identical either way.
-void set_backend_for_tests(Backend backend) noexcept;
-[[nodiscard]] Backend backend_for_tests() noexcept;
-
 /// Number of persistent workers currently parked in the pool (diagnostic;
 /// grows on demand, never shrinks).
 [[nodiscard]] std::uint32_t pool_size() noexcept;

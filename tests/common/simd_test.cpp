@@ -328,52 +328,6 @@ TEST(SimdKernelTest, MinComplementNaNClampsToZero) {
   }
 }
 
-TEST(SimdKernelTest, TripleProductBitwiseParity) {
-  for (const std::size_t n : kSizes) {
-    const std::vector<double> a = random_values(n, 1);
-    const std::vector<double> b_in = random_values(n, 2);
-    const std::vector<double> c = random_values(n, 3);
-    std::vector<double> expected(n);
-    kernels(Backend::kScalarRef)
-        .triple_product(a.data(), b_in.data(), c.data(), expected.data(), n);
-    // Spot-check the association order against Probability::both chaining.
-    for (std::size_t i = 0; i < n; ++i) {
-      const Probability eq1 = Probability::clamped(a[i])
-                                  .both(Probability::clamped(b_in[i]))
-                                  .both(Probability::clamped(c[i]));
-      ASSERT_EQ(eq1.value(), expected[i]);
-    }
-    for (const Backend b : all_backends()) {
-      std::vector<double> out(n);
-      kernels(b).triple_product(a.data(), b_in.data(), c.data(), out.data(),
-                                n);
-      ASSERT_EQ(0,
-                std::memcmp(expected.data(), out.data(), n * sizeof(double)))
-          << "backend " << backend_name(b) << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdKernelTest, DuplexReliabilityBitwiseParity) {
-  for (const std::size_t n : kSizes) {
-    const std::vector<double> r = random_values(n, 55);
-    std::vector<double> expected(n);
-    kernels(Backend::kScalarRef)
-        .duplex_reliability(r.data(), expected.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double fail = 1.0 - r[i];
-      ASSERT_EQ(1.0 - fail * fail, expected[i]);
-    }
-    for (const Backend b : all_backends()) {
-      std::vector<double> out(n);
-      kernels(b).duplex_reliability(r.data(), out.data(), n);
-      ASSERT_EQ(0,
-                std::memcmp(expected.data(), out.data(), n * sizeof(double)))
-          << "backend " << backend_name(b) << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdKernelTest, DenormalInputsBitwiseParity) {
   // Denormal arithmetic must not diverge between the scalar reference and
   // the vector units (no FTZ/DAZ in any backend).

@@ -1,6 +1,6 @@
-// Correctness of the memoization layers: the per-pair Eq. 2 memo in
-// InfluenceModel, the Eq. 3 SeparationCache, and the revision counters that
-// invalidate them when the model or the hierarchy mutates (R1-R5).
+// Correctness of the influence values the caches are built on, the Eq. 3
+// SeparationCache (content-keyed, so model mutations miss), and the
+// hierarchy revision counter that tracks structural mutations (R1-R5).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -31,7 +31,7 @@ TEST(InfluenceCache, CachedValuesMatchClosedFormAcross1000RandomModels) {
     for (std::uint32_t i = 0; i < n; ++i) {
       model.add_member(FcmId(i), "m" + std::to_string(i));
     }
-    // Reference closed form tracked independently of the model's memo.
+    // Reference closed form tracked independently of the model.
     std::map<std::pair<std::uint32_t, std::uint32_t>, double> none;
     const std::uint32_t factors = 1 + rng.below(3 * n);
     for (std::uint32_t f = 0; f < factors; ++f) {
@@ -51,34 +51,11 @@ TEST(InfluenceCache, CachedValuesMatchClosedFormAcross1000RandomModels) {
             it == none.end()
                 ? 0.0
                 : Probability::clamped(1.0 - it->second).value();
-        // Twice: the second query must come from the memo, bit-identical.
-        EXPECT_DOUBLE_EQ(model.influence(FcmId(from), FcmId(to)).value(),
-                         expected);
         EXPECT_DOUBLE_EQ(model.influence(FcmId(from), FcmId(to)).value(),
                          expected);
       }
     }
   }
-}
-
-TEST(InfluenceCache, RepeatQueriesHitTheMemo) {
-  InfluenceModel model;
-  model.add_member(FcmId(0), "a");
-  model.add_member(FcmId(1), "b");
-  InfluenceFactor factor;
-  factor.occurrence = Probability(0.5);
-  factor.transmission = Probability(0.5);
-  factor.effect = Probability(0.5);
-  model.add_factor(FcmId(0), FcmId(1), factor);
-  model.reset_cache_stats();
-
-  (void)model.influence(FcmId(0), FcmId(1));
-  EXPECT_EQ(model.cache_stats().misses, 1u);
-  EXPECT_EQ(model.cache_stats().hits, 0u);
-  (void)model.influence(FcmId(0), FcmId(1));
-  (void)model.influence(FcmId(0), FcmId(1));
-  EXPECT_EQ(model.cache_stats().misses, 1u);
-  EXPECT_EQ(model.cache_stats().hits, 2u);
 }
 
 TEST(InfluenceCache, MutationInvalidatesOnlyTheAffectedPair) {
@@ -93,18 +70,12 @@ TEST(InfluenceCache, MutationInvalidatesOnlyTheAffectedPair) {
   model.add_factor(FcmId(0), FcmId(1), factor);
   model.add_factor(FcmId(1), FcmId(2), factor);
   const double before_01 = model.influence(FcmId(0), FcmId(1)).value();
-  (void)model.influence(FcmId(1), FcmId(2));
-  model.reset_cache_stats();
+  const double before_12 = model.influence(FcmId(1), FcmId(2)).value();
 
-  // Adding a second factor on (0,1) must invalidate that entry only.
+  // A second factor on (0,1) raises that pair's influence only.
   model.add_factor(FcmId(0), FcmId(1), factor);
-  EXPECT_EQ(model.cache_stats().invalidations, 1u);
-
-  const double after_01 = model.influence(FcmId(0), FcmId(1)).value();
-  EXPECT_GT(after_01, before_01);  // recomputed, not stale
-  EXPECT_EQ(model.cache_stats().misses, 1u);
-  (void)model.influence(FcmId(1), FcmId(2));  // untouched pair: still memoized
-  EXPECT_EQ(model.cache_stats().hits, 1u);
+  EXPECT_GT(model.influence(FcmId(0), FcmId(1)).value(), before_01);
+  EXPECT_EQ(model.influence(FcmId(1), FcmId(2)).value(), before_12);
 }
 
 TEST(InfluenceCache, SetDirectReplacesTheMemoizedValue) {
@@ -113,9 +84,7 @@ TEST(InfluenceCache, SetDirectReplacesTheMemoizedValue) {
   model.add_member(FcmId(1), "b");
   model.set_direct(FcmId(0), FcmId(1), Probability(0.25));
   EXPECT_DOUBLE_EQ(model.influence(FcmId(0), FcmId(1)).value(), 0.25);
-  const std::uint64_t revision = model.revision();
   model.set_direct(FcmId(0), FcmId(1), Probability(0.75));
-  EXPECT_GT(model.revision(), revision);
   EXPECT_DOUBLE_EQ(model.influence(FcmId(0), FcmId(1)).value(), 0.75);
 }
 
@@ -134,7 +103,7 @@ TEST(SeparationCacheTest, HitsOnRepeatMissesAfterModelMutation) {
 
   model.set_direct(FcmId(0), FcmId(1), Probability(0.8));
   const double after = cache.get(model).separation(0, 1).value();
-  EXPECT_EQ(cache.stats().misses, 2u);  // revision changed -> recompute
+  EXPECT_EQ(cache.stats().misses, 2u);  // content changed -> recompute
   const SeparationAnalysis fresh(model);
   EXPECT_DOUBLE_EQ(after, fresh.separation(0, 1).value());
 }

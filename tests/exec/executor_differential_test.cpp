@@ -1,10 +1,10 @@
-// Differential gate for the executor migration: every migrated subsystem —
+// Differential gate for the executor: every subsystem that runs on it —
 // Monte Carlo dependability, the series kernels, the planner sweep, the
 // influence estimator, and the resilience campaign — must produce
-// bit-identical output on the persistent work-stealing pool and on the
-// retired spawn-per-call engine, for threads in {1, 3, 8}. The legacy
-// backend is kept for exactly this PR; once this suite has pinned the
-// equivalence, it can be deleted together with these tests' backend flips.
+// bit-identical output on the persistent work-stealing pool for threads in
+// {1, 3, 8}. The reference is a threads = 1 run, which takes the serial
+// in-line path: the same single-lane evaluation the retired per-call
+// engine used, with no pool involved.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "core/example98.h"
 #include "dependability/montecarlo.h"
-#include "exec/executor.h"
 #include "graph/matrix.h"
 #include "graph/series.h"
 #include "mapping/planner.h"
@@ -27,13 +26,6 @@ namespace fcm::exec {
 namespace {
 
 constexpr std::uint32_t kThreadCounts[] = {1, 3, 8};
-
-// Restores the production backend even when an assertion fails out.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(Backend backend) { set_backend_for_tests(backend); }
-  ~ScopedBackend() { set_backend_for_tests(Backend::kPersistentPool); }
-};
 
 void expect_bitwise(double a, double b, const char* what) {
   EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
@@ -65,25 +57,21 @@ dependability::DependabilityReport run_montecarlo(std::uint32_t threads) {
 
 TEST(ExecutorDifferential, MonteCarloReportsMatchTheRetiredEngine) {
   const dependability::DependabilityReport reference = run_montecarlo(1);
-  for (const Backend backend :
-       {Backend::kPersistentPool, Backend::kSpawnPerCall}) {
-    const ScopedBackend scope(backend);
-    for (const std::uint32_t threads : kThreadCounts) {
-      const dependability::DependabilityReport report =
-          run_montecarlo(threads);
-      expect_bitwise(report.system_survival, reference.system_survival,
-                     "system_survival");
-      expect_bitwise(report.critical_survival, reference.critical_survival,
-                     "critical_survival");
-      expect_bitwise(report.expected_criticality_loss,
-                     reference.expected_criticality_loss,
-                     "expected_criticality_loss");
-      ASSERT_EQ(report.process_survival.size(),
-                reference.process_survival.size());
-      for (std::size_t p = 0; p < report.process_survival.size(); ++p) {
-        expect_bitwise(report.process_survival[p],
-                       reference.process_survival[p], "process_survival");
-      }
+  for (const std::uint32_t threads : kThreadCounts) {
+    const dependability::DependabilityReport report =
+        run_montecarlo(threads);
+    expect_bitwise(report.system_survival, reference.system_survival,
+                   "system_survival");
+    expect_bitwise(report.critical_survival, reference.critical_survival,
+                   "critical_survival");
+    expect_bitwise(report.expected_criticality_loss,
+                   reference.expected_criticality_loss,
+                   "expected_criticality_loss");
+    ASSERT_EQ(report.process_survival.size(),
+              reference.process_survival.size());
+    for (std::size_t p = 0; p < report.process_survival.size(); ++p) {
+      expect_bitwise(report.process_survival[p],
+                     reference.process_survival[p], "process_survival");
     }
   }
 }
@@ -105,18 +93,14 @@ TEST(ExecutorDifferential, SeriesKernelsMatchTheRetiredEngine) {
   options.rows_per_task = 4;
   options.threads = 1;
   const graph::Matrix reference = graph::power_series_sum(p, options);
-  for (const Backend backend :
-       {Backend::kPersistentPool, Backend::kSpawnPerCall}) {
-    const ScopedBackend scope(backend);
-    for (const std::uint32_t threads : kThreadCounts) {
-      options.threads = threads;
-      const graph::Matrix result = graph::power_series_sum(p, options);
-      ASSERT_EQ(result.size(), reference.size());
-      EXPECT_EQ(std::memcmp(result.data(), reference.data(),
-                            24 * 24 * sizeof(double)),
-                0)
-          << "threads " << threads;
-    }
+  for (const std::uint32_t threads : kThreadCounts) {
+    options.threads = threads;
+    const graph::Matrix result = graph::power_series_sum(p, options);
+    ASSERT_EQ(result.size(), reference.size());
+    EXPECT_EQ(std::memcmp(result.data(), reference.data(),
+                          24 * 24 * sizeof(double)),
+              0)
+        << "threads " << threads;
   }
 }
 
@@ -134,18 +118,14 @@ mapping::Plan run_sweep(std::uint32_t threads) {
 
 TEST(ExecutorDifferential, PlannerSweepMatchesTheRetiredEngine) {
   const mapping::Plan reference = run_sweep(1);
-  for (const Backend backend :
-       {Backend::kPersistentPool, Backend::kSpawnPerCall}) {
-    const ScopedBackend scope(backend);
-    for (const std::uint32_t threads : kThreadCounts) {
-      const mapping::Plan plan = run_sweep(threads);
-      EXPECT_EQ(plan.heuristic, reference.heuristic);
-      EXPECT_EQ(plan.clustering.partition.cluster_of,
-                reference.clustering.partition.cluster_of);
-      EXPECT_EQ(plan.assignment.hw_of, reference.assignment.hw_of);
-      expect_bitwise(plan.quality.score(), reference.quality.score(),
-                     "plan score");
-    }
+  for (const std::uint32_t threads : kThreadCounts) {
+    const mapping::Plan plan = run_sweep(threads);
+    EXPECT_EQ(plan.heuristic, reference.heuristic);
+    EXPECT_EQ(plan.clustering.partition.cluster_of,
+              reference.clustering.partition.cluster_of);
+    EXPECT_EQ(plan.assignment.hw_of, reference.assignment.hw_of);
+    expect_bitwise(plan.quality.score(), reference.quality.score(),
+                   "plan score");
   }
 }
 
@@ -183,16 +163,12 @@ std::vector<sim::PairEstimate> run_estimator(std::uint32_t threads) {
 
 TEST(ExecutorDifferential, InfluenceEstimatesMatchTheRetiredEngine) {
   const std::vector<sim::PairEstimate> reference = run_estimator(1);
-  for (const Backend backend :
-       {Backend::kPersistentPool, Backend::kSpawnPerCall}) {
-    const ScopedBackend scope(backend);
-    for (const std::uint32_t threads : kThreadCounts) {
-      const std::vector<sim::PairEstimate> estimates = run_estimator(threads);
-      ASSERT_EQ(estimates.size(), reference.size());
-      for (std::size_t t = 0; t < estimates.size(); ++t) {
-        EXPECT_EQ(estimates[t].transmitted, reference[t].transmitted);
-        EXPECT_EQ(estimates[t].manifested, reference[t].manifested);
-      }
+  for (const std::uint32_t threads : kThreadCounts) {
+    const std::vector<sim::PairEstimate> estimates = run_estimator(threads);
+    ASSERT_EQ(estimates.size(), reference.size());
+    for (std::size_t t = 0; t < estimates.size(); ++t) {
+      EXPECT_EQ(estimates[t].transmitted, reference[t].transmitted);
+      EXPECT_EQ(estimates[t].manifested, reference[t].manifested);
     }
   }
 }
@@ -219,13 +195,9 @@ std::string run_campaign_json(std::uint32_t threads) {
 
 TEST(ExecutorDifferential, CampaignJsonMatchesTheRetiredEngine) {
   const std::string reference = run_campaign_json(1);
-  for (const Backend backend :
-       {Backend::kPersistentPool, Backend::kSpawnPerCall}) {
-    const ScopedBackend scope(backend);
-    for (const std::uint32_t threads : kThreadCounts) {
-      EXPECT_EQ(run_campaign_json(threads), reference)
-          << "threads " << threads;
-    }
+  for (const std::uint32_t threads : kThreadCounts) {
+    EXPECT_EQ(run_campaign_json(threads), reference)
+        << "threads " << threads;
   }
 }
 

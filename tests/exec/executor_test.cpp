@@ -186,19 +186,6 @@ TEST(ParallelForBlocks, SatOutWorkersTolerateRetiredSubmissions) {
   EXPECT_EQ(total.load(), 200u * (16u + 2u));
 }
 
-TEST(ParallelForBlocks, SpawnPerCallBackendRunsEveryBlockOnce) {
-  set_backend_for_tests(Backend::kSpawnPerCall);
-  std::vector<std::atomic<std::uint32_t>> runs(100);
-  parallel_for_blocks(100, 3,
-                      [&](std::uint64_t block, std::uint32_t) {
-                        runs[block].fetch_add(1);
-                      });
-  set_backend_for_tests(Backend::kPersistentPool);
-  for (std::size_t b = 0; b < runs.size(); ++b) {
-    EXPECT_EQ(runs[b].load(), 1u) << "block " << b;
-  }
-}
-
 #if FCM_OBS_ENABLED
 
 class ExecObsTest : public ::testing::Test {
