@@ -9,10 +9,11 @@
 //     pair rescan vs the lazy-deletion pair heap), plus the incremental
 //     quotient maintenance differential — mutual-influence recomputes per
 //     H1 run under delta updates vs full rebuilds;
-//   * 512–4096 processes (cap via FCM_SCALE_MAX): the sparse-first
-//     pipeline — CSR-direct series that never materializes the dense P,
-//     hierarchical H1 (partition → cluster within parts → merge across) —
-//     with per-phase wall times, allocation counts, and peak RSS.
+//   * 512–4096 processes (cap via FCM_SCALE_MAX): the large-instance
+//     pipeline — SW-graph build, the Eq. 3 series (sparse kernel at these
+//     fills), hierarchical H1 (partition → cluster within parts → merge
+//     across), assignment + quality — with per-phase wall times,
+//     allocation counts, and peak RSS.
 //
 // The headline speedups, the ≥10× recompute drop, and the bitwise
 // thread/mode-identity checks are recorded to BENCH_scale.json.
@@ -27,7 +28,6 @@
 #include "common/error.h"
 #include "common/table.h"
 #include "core/synthetic.h"
-#include "graph/csr.h"
 #include "graph/series.h"
 #include "mapping/planner.h"
 #include "obs/metrics.h"
@@ -66,17 +66,6 @@ graph::Matrix influence_matrix(const SwGraph& sw) {
   return p;
 }
 
-/// CSR snapshot of the influence graph built straight from the edge list —
-/// the dense n×n buffer is never allocated.
-graph::CsrMatrix influence_csr(const SwGraph& sw) {
-  std::vector<graph::CsrEntry> entries;
-  entries.reserve(sw.influence_graph().edges().size());
-  for (const graph::Edge& e : sw.influence_graph().edges()) {
-    entries.push_back({e.from, e.to, e.weight});
-  }
-  return graph::CsrMatrix(sw.node_count(), std::move(entries));
-}
-
 bool bitwise_equal(const graph::Matrix& a, const graph::Matrix& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(),
@@ -112,8 +101,8 @@ PhaseRow measure(std::size_t processes) {
   const int reps = processes >= 128 ? 2 : 3;
 
   // Phase 1: separation series. Reference loop vs the kernel fast path
-  // (auto dense/sparse selection; influence graphs this sparse take the
-  // CSR kernel). Identity across thread counts is part of the contract.
+  // (dense/sparse picked from P's fill; influence graphs this sparse take
+  // the CSR kernel). Identity across thread counts is part of the contract.
   const graph::Matrix p = influence_matrix(sw);
   graph::Matrix ref(0);
   row.series_ref_seconds = phase_seconds(
@@ -215,8 +204,8 @@ QuotientStats measure_quotient_drop(std::size_t processes) {
   return stats;
 }
 
-// One 512+-process run through the sparse-first pipeline, with per-phase
-// wall time and allocation counts plus the process peak RSS after the row.
+// One 512+-process run through the planning pipeline, with per-phase wall
+// time and allocation counts plus the process peak RSS after the row.
 struct ScaleRow {
   std::size_t processes = 0;
   std::size_t sw_nodes = 0;
@@ -231,7 +220,7 @@ struct ScaleRow {
   std::uint64_t cluster_allocs = 0;
   std::uint64_t row_alloc_mb = 0;   // bytes requested across the whole row
   std::uint64_t peak_rss_mb = 0;
-  bool series_identical = true;   // CSR-direct vs dense, checked up to 1024
+  bool series_identical = false;   // Eq. 3 series, 1 vs 4 threads
   bool cluster_identical = false;  // hierarchical H1, 1 vs 4 threads
 };
 
@@ -255,22 +244,20 @@ ScaleRow measure_scale(std::size_t processes) {
   row.build_allocs = allocs_since(mark);
   row.sw_nodes = sw->node_count();
 
-  // Series phase, CSR-direct: the sparse P is assembled straight from the
-  // influence edge list and the dense P never exists. Up to 1024 processes
-  // the dense-input path is also run and must agree bitwise.
+  // Series phase: Eq. 3 over the influence matrix (fills this low take
+  // the sparse kernel). Bitwise thread-identity is asserted by re-running
+  // with 4 workers.
   graph::SeriesOptions sopts;
   sopts.epsilon = 1e-9;
   mark = alloc.allocations.load();
   graph::Matrix separation(0);
   row.series_seconds = seconds_of([&] {
-    const graph::CsrMatrix csr = influence_csr(*sw);
-    separation = graph::power_series_sum(csr, sopts);
+    separation = graph::power_series_sum(influence_matrix(*sw), sopts);
   });
   row.series_allocs = allocs_since(mark);
-  if (processes <= 1024) {
-    row.series_identical = bitwise_equal(
-        separation, graph::power_series_sum(influence_matrix(*sw), sopts));
-  }
+  sopts.threads = 4;
+  row.series_identical = bitwise_equal(
+      separation, graph::power_series_sum(influence_matrix(*sw), sopts));
 
   // Clustering phase: hierarchical H1 (partition via min-cut/BFS, H1
   // within parts, merge across). Bitwise thread-identity is asserted by
@@ -373,8 +360,8 @@ void print_reproduction() {
                    row.series_identical && row.h1_identical ? "yes" : "NO"});
   }
   std::cout << table.render();
-  std::cout << "(series fast path = auto CSR/blocked kernel of "
-               "graph/series.h; identity is bitwise,\n across kernels and "
+  std::cout << "(series fast path = CSR/blocked kernel of graph/series.h, "
+               "picked by fill; identity is bitwise,\n across kernels and "
                "across 1/4/8 threads — speedups here are algorithmic, not "
                "core-count)\n";
 
@@ -394,10 +381,10 @@ void print_reproduction() {
 
   const std::size_t cap = scale_cap();
   std::vector<ScaleRow> scale_rows;
-  bench::banner("Sparse-first pipeline, 512 -> " + std::to_string(cap) +
+  bench::banner("Large-instance pipeline, 512 -> " + std::to_string(cap) +
                 " processes (FCM_SCALE_MAX)");
   TextTable scale_table({"processes", "SW nodes", "clusters", "build",
-                         "series CSR", "H1 hier", "H1 flat", "assign+qual",
+                         "series", "H1 hier", "H1 flat", "assign+qual",
                          "alloc MB", "peak RSS MB", "identical"});
   for (const std::size_t n : {512u, 1024u, 4096u}) {
     if (n > cap) continue;
@@ -413,10 +400,9 @@ void print_reproduction() {
          row.series_identical && row.cluster_identical ? "yes" : "NO"});
   }
   std::cout << scale_table.render();
-  std::cout << "(series CSR = CSR-direct evaluation, dense P never built — "
-               "bitwise-checked against\n the dense path up to 1024; H1 "
-               "hier = hierarchical H1, bitwise-identical for 1 vs\n 4 "
-               "workers; H1 flat skipped above 1024)\n";
+  std::cout << "(series and H1 hier = hierarchical H1 are each "
+               "bitwise-identical for 1 vs 4\n workers; H1 flat skipped "
+               "above 1024)\n";
 
   const bool plans_identical = plans_identical_across_threads();
   std::cout << "best_plan(64 processes): sweep_threads 1 vs 4 pick "
@@ -518,19 +504,6 @@ void BM_SeriesFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SeriesFast)->Arg(32)->Arg(64)->Arg(256);
-
-void BM_SeriesCsrDirect(benchmark::State& state) {
-  const System sys = make_system(static_cast<std::size_t>(state.range(0)), 7);
-  const SwGraph sw =
-      SwGraph::build(sys.hierarchy, sys.influence, sys.processes);
-  graph::SeriesOptions options;
-  options.epsilon = 1e-9;
-  for (auto _ : state) {
-    const graph::CsrMatrix csr = influence_csr(sw);
-    benchmark::DoNotOptimize(graph::power_series_sum(csr, options));
-  }
-}
-BENCHMARK(BM_SeriesCsrDirect)->Arg(64)->Arg(256);
 
 void BM_H1AtScale(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,10 +1,10 @@
 // Ablation — SIMD backend differential: the three vectorized hot kernels
 // (Monte Carlo trial lotteries = PCG uniform fill + threshold compare,
 // Eq. 3 power-series dense/CSR row updates, Eq. 3 min-separation folds)
-// timed per backend (scalar reference / auto-vectorized / intrinsics) with
-// every speedup gated on a bitwise-identity check, plus an end-to-end
-// evaluate_mapping pass per backend compared against the scalar report.
-// The headline speedups vs kScalarRef are recorded to BENCH_simd.json.
+// timed per backend (scalar reference / intrinsics) with every speedup
+// gated on a bitwise-identity check, plus one Monte Carlo evaluate_mapping
+// call per backend compared against the scalar report. The headline
+// speedups vs kScalarRef are recorded to BENCH_simd.json.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -40,15 +40,9 @@ constexpr int kCsrPasses = 64;
 constexpr std::size_t kRowLen = 4096;        // min-separation fold row length
 
 std::vector<simd::Backend> backends() {
-  std::vector<simd::Backend> list{simd::Backend::kScalarRef,
-                                  simd::Backend::kAutoVec};
+  std::vector<simd::Backend> list{simd::Backend::kScalarRef};
   if (simd::simd_available()) list.push_back(simd::Backend::kSimd);
   return list;
-}
-
-simd::Backend best_backend() {
-  return simd::simd_available() ? simd::Backend::kSimd
-                                : simd::Backend::kAutoVec;
 }
 
 // --- Kernel workloads (identical inputs per backend; outputs memcmp'd) ---
@@ -187,7 +181,7 @@ KernelTimes time_backend(simd::Backend backend, const KernelTimes* reference,
   return times;
 }
 
-// --- End-to-end: the full Monte Carlo evaluator per backend ---
+// --- The full Monte Carlo evaluator per backend ---
 
 struct Setup {
   core::example98::Instance instance = core::example98::make_instance();
@@ -221,7 +215,7 @@ void print_reproduction() {
   const std::vector<simd::Backend> all = backends();
   if (!simd::simd_available()) {
     std::cout << "(intrinsics backend unavailable on this build/CPU — "
-                 "kSimd rows degrade to kAutoVec)\n";
+                 "only the scalar reference runs)\n";
   }
 
   std::vector<double> ref_uniforms;
@@ -255,7 +249,7 @@ void print_reproduction() {
             << "x\n(seconds are medians; \"identical\" = every kernel output "
                "memcmp-equal to the scalar row)\n";
 
-  bench::banner("end-to-end Monte Carlo evaluator per backend");
+  bench::banner("Monte Carlo evaluate_mapping per backend");
   Setup setup;
   MissionModel mission;
   mission.hw_failure = Probability(0.1);
@@ -265,9 +259,9 @@ void print_reproduction() {
   mission.threads = 1;
 
   DependabilityReport scalar_report;
-  bool e2e_identical = true;
-  double e2e_scalar = 0.0, e2e_best = 0.0;
-  TextTable e2e({"backend", "seconds", "identical report"});
+  bool evaluate_identical = true;
+  double evaluate_scalar = 0.0, evaluate_best = 0.0;
+  TextTable evaluate({"backend", "seconds", "identical report"});
   for (std::size_t i = 0; i < all.size(); ++i) {
     simd::set_backend(all[i]);
     DependabilityReport report;
@@ -277,22 +271,22 @@ void print_reproduction() {
     });
     if (i == 0) scalar_report = report;
     const bool identical = reports_identical(scalar_report, report);
-    e2e_identical = e2e_identical && identical;
-    if (i == 0) e2e_scalar = seconds;
-    if (i + 1 == all.size()) e2e_best = seconds;
-    e2e.add_row({simd::backend_name(all[i]), fmt(seconds, 4),
-                 identical ? "yes" : "NO"});
+    evaluate_identical = evaluate_identical && identical;
+    if (i == 0) evaluate_scalar = seconds;
+    if (i + 1 == all.size()) evaluate_best = seconds;
+    evaluate.add_row({simd::backend_name(all[i]), fmt(seconds, 4),
+                      identical ? "yes" : "NO"});
   }
   simd::set_backend(saved);
-  std::cout << e2e.render();
-  std::cout << "(end-to-end gains are smaller than kernel gains: propagation "
-               "and bookkeeping stay scalar)\n";
+  std::cout << evaluate.render();
+  std::cout << "(evaluate_mapping gains are smaller than kernel gains: "
+               "propagation and bookkeeping stay scalar)\n";
 
   bool kernels_identical = true;
   for (const KernelTimes& t : times) {
     kernels_identical = kernels_identical && t.identical;
   }
-  const bool bitwise_identical = kernels_identical && e2e_identical;
+  const bool bitwise_identical = kernels_identical && evaluate_identical;
 
   std::ofstream json("BENCH_simd.json");
   json << "{\n"
@@ -300,7 +294,7 @@ void print_reproduction() {
        << "  \"repeat\": " << bench::repeat() << ",\n"
        << "  \"simd_available\": "
        << (simd::simd_available() ? "true" : "false") << ",\n"
-       << "  \"best_backend\": \"" << simd::backend_name(best_backend())
+       << "  \"best_backend\": \"" << simd::backend_name(all.back())
        << "\",\n"
        << "  \"seconds_mc_scalar\": " << scalar.mc << ",\n"
        << "  \"seconds_mc_best\": " << best.mc << ",\n"
@@ -312,9 +306,10 @@ void print_reproduction() {
        << "  \"speedup_csr_rows\": " << scalar.csr / best.csr << ",\n"
        << "  \"speedup_min_fold\": " << scalar.min_fold / best.min_fold
        << ",\n"
-       << "  \"seconds_e2e_scalar\": " << e2e_scalar << ",\n"
-       << "  \"seconds_e2e_best\": " << e2e_best << ",\n"
-       << "  \"speedup_e2e\": " << e2e_scalar / e2e_best << ",\n"
+       << "  \"seconds_mc_evaluate_scalar\": " << evaluate_scalar << ",\n"
+       << "  \"seconds_mc_evaluate_best\": " << evaluate_best << ",\n"
+       << "  \"speedup_mc_evaluate\": " << evaluate_scalar / evaluate_best
+       << ",\n"
        << "  \"bitwise_identical\": "
        << (bitwise_identical ? "true" : "false") << "\n}\n";
   std::cout << "(backend record written to BENCH_simd.json)\n";
@@ -334,23 +329,7 @@ void BM_FillUniforms(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kDraws));
 }
-BENCHMARK(BM_FillUniforms)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_Axpy(benchmark::State& state) {
-  const simd::KernelTable& k =
-      simd::kernels(static_cast<simd::Backend>(state.range(0)));
-  std::vector<double> p(kRowLen), out(kRowLen, 0.0);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    p[i] = 0.001 * static_cast<double>(i % 997);
-  }
-  for (auto _ : state) {
-    k.axpy(out.data(), p.data(), 0.25, kRowLen);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kRowLen));
-}
-BENCHMARK(BM_Axpy)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FillUniforms)->Arg(0)->Arg(2);
 
 void BM_MinComplement(benchmark::State& state) {
   const simd::KernelTable& k =
@@ -365,7 +344,7 @@ void BM_MinComplement(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRowLen));
 }
-BENCHMARK(BM_MinComplement)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MinComplement)->Arg(0)->Arg(2);
 
 }  // namespace
 

@@ -23,7 +23,7 @@
 //
 // Every command also accepts --metrics (dump the fcm::obs registry after
 // the run), --trace FILE (write a chrome://tracing span file), and
-// --simd scalar|auto|simd (kernel backend override; FCM_SIMD is the env
+// --simd scalar|simd (kernel backend override; FCM_SIMD is the env
 // default — purely a speed knob, reports are byte-identical). Options
 // are validated strictly: unknown options, missing values, and malformed
 // numbers print a one-line error plus usage and exit non-zero.
@@ -140,7 +140,7 @@ int usage() {
       "global options (any command):\n"
       "  --metrics                           dump the fcm::obs registry\n"
       "  --trace FILE                        write chrome://tracing spans\n"
-      "  --simd scalar|auto|simd             kernel backend (speed only;\n"
+      "  --simd scalar|simd                  kernel backend (speed only;\n"
       "                                      reports are byte-identical)\n"
       "every --threads/--sweep-threads default is 0 = auto: the FCM_THREADS\n"
       "environment variable if set, otherwise all hardware cores; --simd\n"
@@ -493,7 +493,7 @@ int main(int argc, char** argv) {
   if (const std::string simd_name = args.get("simd", ""); !simd_name.empty()) {
     const auto backend = simd::parse_backend(simd_name);
     if (!backend) {
-      std::cerr << "error: --simd must be scalar, auto, or simd; got '"
+      std::cerr << "error: --simd must be scalar or simd; got '"
                 << simd_name << "'\n";
       return usage();
     }

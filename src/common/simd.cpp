@@ -4,8 +4,8 @@
 // call (the --simd CLI flag) wins, else the FCM_SIMD environment variable,
 // else the best backend this build + CPU supports. Malformed env values are
 // ignored rather than fatal, like FCM_THREADS. The choice never affects
-// results — every backend is differential-tested to bitwise parity — so a
-// degraded fallback is always safe.
+// results — both backends are differential-tested to bitwise parity — so
+// the scalar fallback is always safe.
 #include "common/simd.h"
 
 #include <atomic>
@@ -27,18 +27,18 @@ bool cpu_has_simd() noexcept {
 #endif
 }
 
-Backend best_available() noexcept {
-  return simd_available() ? Backend::kSimd : Backend::kAutoVec;
+// kSimd when the build and CPU have it, else the scalar reference.
+Backend usable(Backend requested) noexcept {
+  return requested == Backend::kSimd && !simd_available()
+             ? Backend::kScalarRef
+             : requested;
 }
 
 Backend initial_backend() noexcept {
   if (const char* env = std::getenv("FCM_SIMD")) {
-    if (const auto parsed = parse_backend(env)) {
-      if (*parsed != Backend::kSimd || simd_available()) return *parsed;
-      return Backend::kAutoVec;
-    }
+    if (const auto parsed = parse_backend(env)) return usable(*parsed);
   }
-  return best_available();
+  return usable(Backend::kSimd);
 }
 
 std::atomic<Backend>& backend_slot() noexcept {
@@ -62,35 +62,24 @@ Backend active_backend() noexcept {
 }
 
 void set_backend(Backend backend) noexcept {
-  if (backend == Backend::kSimd && !simd_available()) {
-    backend = Backend::kAutoVec;
-  }
-  backend_slot().store(backend, std::memory_order_relaxed);
+  backend_slot().store(usable(backend), std::memory_order_relaxed);
 }
 
 const KernelTable& kernels() noexcept { return kernels(active_backend()); }
 
 const KernelTable& kernels(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kScalarRef:
-      return detail::kScalarTable;
-    case Backend::kAutoVec:
-      return detail::kAutoVecTable;
-    case Backend::kSimd:
 #if defined(FCM_SIMD_AVX2) || defined(FCM_SIMD_NEON)
-      if (simd_available()) return detail::kSimdTable;
+  if (usable(backend) == Backend::kSimd) return detail::kSimdTable;
+#else
+  (void)backend;  // without an intrinsics TU every request is scalar
 #endif
-      return detail::kAutoVecTable;
-  }
-  return detail::kAutoVecTable;
+  return detail::kScalarTable;
 }
 
 const char* backend_name(Backend backend) noexcept {
   switch (backend) {
     case Backend::kScalarRef:
       return "scalar";
-    case Backend::kAutoVec:
-      return "auto";
     case Backend::kSimd:
       return "simd";
   }
@@ -99,7 +88,6 @@ const char* backend_name(Backend backend) noexcept {
 
 std::optional<Backend> parse_backend(std::string_view name) noexcept {
   if (name == "scalar") return Backend::kScalarRef;
-  if (name == "auto") return Backend::kAutoVec;
   if (name == "simd") return Backend::kSimd;
   return std::nullopt;
 }

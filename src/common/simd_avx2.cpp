@@ -235,24 +235,6 @@ constexpr std::array<std::uint64_t, 256> kMaskBytes = [] {
   return table;
 }();
 
-void less_than_avx2(const double* u, double threshold, std::uint8_t* dst,
-                    std::size_t n) {
-  const __m256d t = _mm256_set1_pd(threshold);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const int lo =
-        _mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(u + i), t,
-                                         _CMP_LT_OQ));
-    const int hi =
-        _mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(u + i + 4), t,
-                                         _CMP_LT_OQ));
-    const std::uint64_t bytes =
-        kMaskBytes[static_cast<std::size_t>(lo | (hi << 4))];
-    std::memcpy(dst + i, &bytes, sizeof(bytes));
-  }
-  for (; i < n; ++i) dst[i] = u[i] < threshold ? std::uint8_t{1} : std::uint8_t{0};
-}
-
 void bernoulli_avx2(std::uint64_t* state, std::uint64_t inc, double threshold,
                     std::uint8_t* dst, std::size_t n) {
   // Integer-domain lottery: u = bits * 2^-53 exactly, and scaling the
@@ -393,10 +375,8 @@ double min_complement_avx2(const double* s, std::size_t n) {
 }  // namespace
 
 const KernelTable kSimdTable = {
-    fill_uniforms_avx2,  axpy_avx2,
-    axpy_rows_avx2,      csr_axpy_avx2,
-    less_than_avx2,      bernoulli_avx2,
-    min_complement_avx2,
+    fill_uniforms_avx2, axpy_rows_avx2,      csr_axpy_avx2,
+    bernoulli_avx2,     min_complement_avx2,
 };
 
 }  // namespace fcm::simd::detail

@@ -30,29 +30,20 @@ void fill_uniforms_scalar(std::uint64_t* state, std::uint64_t inc,
   *state = s;
 }
 
-void axpy_scalar(double* out, const double* p, double a, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) out[j] += a * p[j];
-}
-
 void axpy_rows_scalar(double* out, const double* const* rows,
                       const double* coeffs, std::size_t m, std::size_t n) {
   // The reference semantics of the fused fold: literally m sequential axpy
   // sweeps, one rounding per (row, element) step in ascending row order.
   for (std::size_t r = 0; r < m; ++r) {
-    axpy_scalar(out, rows[r], coeffs[r], n);
+    const double a = coeffs[r];
+    const double* p = rows[r];
+    for (std::size_t j = 0; j < n; ++j) out[j] += a * p[j];
   }
 }
 
 void csr_axpy_scalar(double* out, const std::uint32_t* cols,
                      const double* vals, double a, std::size_t n) {
   for (std::size_t e = 0; e < n; ++e) out[cols[e]] += a * vals[e];
-}
-
-void less_than_scalar(const double* u, double threshold, std::uint8_t* dst,
-                      std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = u[i] < threshold ? std::uint8_t{1} : std::uint8_t{0};
-  }
 }
 
 void bernoulli_scalar(std::uint64_t* state, std::uint64_t inc,
@@ -85,10 +76,8 @@ double min_complement_scalar(const double* s, std::size_t n) {
 }  // namespace
 
 const KernelTable kScalarTable = {
-    fill_uniforms_scalar,  axpy_scalar,
-    axpy_rows_scalar,      csr_axpy_scalar,
-    less_than_scalar,      bernoulli_scalar,
-    min_complement_scalar,
+    fill_uniforms_scalar, axpy_rows_scalar,      csr_axpy_scalar,
+    bernoulli_scalar,     min_complement_scalar,
 };
 
 }  // namespace fcm::simd::detail

@@ -5,22 +5,10 @@
 
 #include "common/error.h"
 #include "common/simd.h"
+#include "graph/series.h"
 #include "obs/obs.h"
 
 namespace fcm::core {
-
-namespace {
-
-graph::SeriesOptions to_series_options(const SeparationOptions& options) {
-  graph::SeriesOptions series;
-  series.max_order = options.max_order;
-  series.epsilon = options.epsilon;
-  series.threads = options.threads;
-  series.kernel = options.kernel;
-  return series;
-}
-
-}  // namespace
 
 SeparationAnalysis::SeparationAnalysis(const InfluenceModel& model,
                                        SeparationOptions options)
@@ -28,8 +16,10 @@ SeparationAnalysis::SeparationAnalysis(const InfluenceModel& model,
 
 SeparationAnalysis::SeparationAnalysis(const graph::Matrix& influence_matrix,
                                        SeparationOptions options)
-    : series_(graph::power_series_sum(influence_matrix,
-                                      to_series_options(options))) {}
+    : series_(graph::power_series_sum(
+          influence_matrix, {.max_order = options.max_order,
+                             .epsilon = options.epsilon,
+                             .threads = options.threads})) {}
 
 double SeparationAnalysis::interaction(std::size_t i, std::size_t j) const {
   return series_.at(i, j);
@@ -92,8 +82,8 @@ std::uint64_t model_key(const InfluenceModel& model) {
   return fnv_mix(kFnvOffset, model.to_matrix().content_hash());
 }
 
-// Folds the result-selecting options fields (and only those — threads and
-// kernel choice never change the analysis) into the entry key.
+// Folds the result-selecting options fields (and only those — threads
+// never change the analysis) into the entry key.
 std::uint64_t with_options(std::uint64_t key,
                            const SeparationOptions& options) noexcept {
   key = fnv_mix(key, static_cast<std::uint64_t>(options.max_order));

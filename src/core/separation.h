@@ -15,11 +15,10 @@
 #include "common/probability.h"
 #include "core/influence.h"
 #include "graph/matrix.h"
-#include "graph/series.h"
 
 namespace fcm::core {
 
-/// Truncation and kernel controls for the Eq. 3 series.
+/// Truncation and thread controls for the Eq. 3 series.
 struct SeparationOptions {
   /// Highest matrix power included (1 = direct influence only).
   int max_order = 6;
@@ -28,12 +27,10 @@ struct SeparationOptions {
   /// Worker threads for the series kernels (0 = hardware concurrency). The
   /// analysis is bitwise identical for every value.
   std::uint32_t threads = 1;
-  /// Multiply kernel (auto = dense/sparse by fill ratio).
-  graph::SeriesKernel kernel = graph::SeriesKernel::kAuto;
 
   /// Equality compares only the fields that select the mathematical result;
-  /// threads and kernel never change the bitwise output, so cache entries
-  /// computed under different execution plans are interchangeable.
+  /// threads never change the bitwise output, so cache entries computed
+  /// under different thread counts are interchangeable.
   [[nodiscard]] bool operator==(const SeparationOptions& other)
       const noexcept {
     return max_order == other.max_order && epsilon == other.epsilon;

@@ -1,10 +1,5 @@
 #include "graph/csr.h"
 
-#include <algorithm>
-#include <string>
-
-#include "common/error.h"
-
 namespace fcm::graph {
 
 CsrMatrix::CsrMatrix(const Matrix& dense) : n_(dense.size()) {
@@ -21,39 +16,6 @@ CsrMatrix::CsrMatrix(const Matrix& dense) : n_(dense.size()) {
     }
     row_ptr_.push_back(col_.size());
   }
-}
-
-CsrMatrix::CsrMatrix(std::size_t n, std::vector<CsrEntry> entries) : n_(n) {
-  std::sort(entries.begin(), entries.end(),
-            [](const CsrEntry& a, const CsrEntry& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
-  row_ptr_.reserve(n_ + 1);
-  col_.reserve(entries.size());
-  val_.reserve(entries.size());
-  row_ptr_.push_back(0);
-  std::size_t cursor = 0;
-  for (std::size_t r = 0; r < n_; ++r) {
-    for (; cursor < entries.size() && entries[cursor].row == r; ++cursor) {
-      const CsrEntry& entry = entries[cursor];
-      FCM_REQUIRE(entry.col < n_,
-                  "CSR entry column " + std::to_string(entry.col) +
-                      " out of range for n=" + std::to_string(n_));
-      if (cursor + 1 < entries.size() &&
-          entries[cursor + 1].row == entry.row &&
-          entries[cursor + 1].col == entry.col) {
-        throw InvalidArgument("duplicate CSR entry at (" +
-                              std::to_string(entry.row) + ", " +
-                              std::to_string(entry.col) + ")");
-      }
-      if (entry.value == 0.0) continue;  // explicit zeros are dropped
-      col_.push_back(entry.col);
-      val_.push_back(entry.value);
-    }
-    row_ptr_.push_back(col_.size());
-  }
-  FCM_REQUIRE(cursor == entries.size(),
-              "CSR entry row out of range for n=" + std::to_string(n_));
 }
 
 Matrix CsrMatrix::to_dense() const {

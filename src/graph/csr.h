@@ -16,27 +16,12 @@
 
 namespace fcm::graph {
 
-/// One (row, col, value) entry for direct CSR construction.
-struct CsrEntry {
-  std::uint32_t row = 0;
-  std::uint32_t col = 0;
-  double value = 0.0;
-};
-
 /// Immutable CSR snapshot of a square matrix. Entries equal to 0.0 are
 /// dropped; within a row, columns ascend.
 class CsrMatrix {
  public:
   /// Compresses `dense`; O(n²) scan, done once per series evaluation.
   explicit CsrMatrix(const Matrix& dense);
-
-  /// Builds directly from coordinate entries without ever materializing a
-  /// dense matrix — the sparse-first entry point for large graphs (at 6k+
-  /// nodes the O(n²) dense buffer alone costs hundreds of MB). Entries are
-  /// sorted to (row, col) order; explicit zeros are dropped. Throws
-  /// InvalidArgument on out-of-range indices or duplicate (row, col)
-  /// pairs.
-  CsrMatrix(std::size_t n, std::vector<CsrEntry> entries);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
   [[nodiscard]] std::size_t nonzeros() const noexcept { return col_.size(); }

@@ -1,7 +1,5 @@
 #include "graph/matrix.h"
 
-#include "graph/series.h"
-
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -97,13 +95,6 @@ std::uint64_t Matrix::content_hash() const noexcept {
   hash_ = hash;
   hash_valid_ = true;
   return hash_;
-}
-
-Matrix power_series_sum(const Matrix& p, int max_order, double epsilon) {
-  SeriesOptions options;
-  options.max_order = max_order;
-  options.epsilon = epsilon;
-  return power_series_sum(p, options);
 }
 
 }  // namespace fcm::graph

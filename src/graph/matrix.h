@@ -62,7 +62,6 @@ class Matrix {
   [[nodiscard]] double max_abs() const noexcept;
 
   /// Fraction of entries that are nonzero, in [0, 1] (1.0 for n == 0).
-  /// Drives the dense/sparse kernel selection in graph/series.h.
   [[nodiscard]] double fill_ratio() const noexcept;
 
   /// FNV-1a hash over the dimension and every entry's bit pattern. Computed
@@ -77,11 +76,5 @@ class Matrix {
   mutable std::uint64_t hash_ = 0;
   mutable bool hash_valid_ = false;
 };
-
-/// P + P² + … + P^max_order, stopping early once a term's max_abs() drops
-/// below `epsilon`. `max_order` >= 1. Dispatches to the automatic
-/// dense/sparse kernel selection of graph/series.h; see there for explicit
-/// kernel and thread control.
-Matrix power_series_sum(const Matrix& p, int max_order, double epsilon = 0.0);
 
 }  // namespace fcm::graph

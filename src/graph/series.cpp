@@ -15,6 +15,18 @@ namespace fcm::graph {
 
 namespace {
 
+// Kernel selection (see header): P at most kSparseFill full takes the
+// sparse kernel, or at most kSparseFillLarge full once n >= kSparseLargeN.
+constexpr double kSparseFill = 0.15;
+constexpr double kSparseFillLarge = 0.35;
+constexpr std::size_t kSparseLargeN = 512;
+// Rows per parallel work unit (scheduling granule only — results never
+// depend on it).
+constexpr std::size_t kRowsPerTask = 16;
+// Column tile width of the dense kernel (cache shaping only — results
+// never depend on it).
+constexpr std::size_t kColBlock = 128;
+
 // term' rows [r0, r1) of term × p, dense and column-tiled. The nonzero
 // coefficients of the term row and their p rows are gathered once, then each
 // column tile goes through the fused axpy_rows kernel: per output element
@@ -23,8 +35,7 @@ namespace {
 // and never contracts mul+add), while out is loaded and stored once per
 // tile sweep instead of once per k.
 void dense_rows(const double* term, const double* p, double* next,
-                std::size_t n, std::size_t r0, std::size_t r1,
-                std::size_t col_block) {
+                std::size_t n, std::size_t r0, std::size_t r1) {
   const simd::KernelTable& kernels = simd::kernels();
   std::vector<double> coeffs;
   std::vector<const double*> rows;
@@ -46,8 +57,8 @@ void dense_rows(const double* term, const double* p, double* next,
     }
     if (coeffs.empty()) continue;
     tile.resize(rows.size());
-    for (std::size_t jb = 0; jb < n; jb += col_block) {
-      const std::size_t je = std::min(n, jb + col_block);
+    for (std::size_t jb = 0; jb < n; jb += kColBlock) {
+      const std::size_t je = std::min(n, jb + kColBlock);
       for (std::size_t r = 0; r < rows.size(); ++r) tile[r] = rows[r] + jb;
       kernels.axpy_rows(out + jb, tile.data(), coeffs.data(), rows.size(),
                         je - jb);
@@ -83,15 +94,13 @@ void sparse_rows(const double* term, const CsrMatrix& p, double* next,
 // exclusive, so the output is bitwise independent of the thread count and of
 // which worker claims which range.
 template <typename RowFn>
-void for_row_ranges(std::size_t n, std::uint32_t threads,
-                    std::size_t rows_per_task, RowFn fn) {
+void for_row_ranges(std::size_t n, std::uint32_t threads, RowFn fn) {
   if (n == 0) return;
-  rows_per_task = std::max<std::size_t>(1, rows_per_task);
-  const std::size_t tasks = (n + rows_per_task - 1) / rows_per_task;
+  const std::size_t tasks = (n + kRowsPerTask - 1) / kRowsPerTask;
   exec::parallel_for_blocks(
       tasks, threads, [&](std::uint64_t t, std::uint32_t /*lane*/) {
-        const std::size_t r0 = static_cast<std::size_t>(t) * rows_per_task;
-        fn(r0, std::min(n, r0 + rows_per_task));
+        const std::size_t r0 = static_cast<std::size_t>(t) * kRowsPerTask;
+        fn(r0, std::min(n, r0 + kRowsPerTask));
       });
 }
 
@@ -99,31 +108,6 @@ double buffer_max_abs(const std::vector<double>& buf) noexcept {
   double m = 0.0;
   for (const double v : buf) m = std::max(m, std::fabs(v));
   return m;
-}
-
-// The Eq. 3 accumulation loop shared by the dense and CSR entry points.
-// On entry `sum` and `term` both hold P; `multiply(term, next)` must write
-// term × P into `next`. Both entries route through this one loop so their
-// order counting, epsilon handling, and summation order stay identical.
-template <typename MultiplyFn>
-void accumulate_orders(std::size_t n, const SeriesOptions& options,
-                       std::vector<double>& sum, std::vector<double>& term,
-                       MultiplyFn multiply) {
-  std::vector<double> next(n * n, 0.0);
-  std::uint64_t orders_computed = 0;
-  bool epsilon_stop = false;
-  for (int order = 2; order <= options.max_order; ++order) {
-    multiply(term, next);
-    ++orders_computed;
-    term.swap(next);
-    if (options.epsilon > 0.0 && buffer_max_abs(term) < options.epsilon) {
-      epsilon_stop = true;
-      break;
-    }
-    for (std::size_t i = 0; i < n * n; ++i) sum[i] += term[i];
-  }
-  FCM_OBS_COUNT("series.orders", orders_computed);
-  if (epsilon_stop) FCM_OBS_COUNT("series.epsilon_stops", 1);
 }
 
 }  // namespace
@@ -145,121 +129,55 @@ Matrix power_series_sum_reference(const Matrix& p, int max_order,
 Matrix power_series_sum(const Matrix& p, const SeriesOptions& options) {
   FCM_REQUIRE(options.max_order >= 1,
               "series needs at least the first-order term");
-  if (options.kernel == SeriesKernel::kReference) {
-    return power_series_sum_reference(p, options.max_order, options.epsilon);
-  }
-
   const std::size_t n = p.size();
   FCM_OBS_SPAN("series.power_sum", n);
-  const std::size_t row_tasks =
-      n == 0 ? 0
-             : (n + std::max<std::size_t>(1, options.rows_per_task) - 1) /
-                   std::max<std::size_t>(1, options.rows_per_task);
-  const std::uint32_t threads =
-      exec::resolve_threads(options.threads, row_tasks);
+  const std::uint32_t threads = exec::resolve_threads(
+      options.threads, (n + kRowsPerTask - 1) / kRowsPerTask);
 
-  // One pass decides the kAuto kernel: fill ratio and sign. kSparse is only
-  // honored automatically when P is nonnegative (see header). Large
-  // matrices accept a higher fill before falling back to dense.
-  SeriesKernel kernel = options.kernel;
-  if (kernel == SeriesKernel::kAuto) {
-    const double* data = p.data();
-    std::size_t nonzero = 0;
-    bool nonnegative = true;
-    for (std::size_t i = 0; i < n * n; ++i) {
-      nonzero += data[i] != 0.0 ? 1 : 0;
-      nonnegative = nonnegative && !(data[i] < 0.0);
-    }
-    const double fill =
-        n == 0 ? 1.0 : static_cast<double>(nonzero) / static_cast<double>(n * n);
-    const double threshold =
-        n >= options.sparse_large_n
-            ? std::max(options.sparse_fill_threshold,
-                       options.sparse_fill_threshold_large)
-            : options.sparse_fill_threshold;
-    kernel = nonnegative && fill <= threshold ? SeriesKernel::kSparse
-                                              : SeriesKernel::kDense;
-    FCM_OBS_COUNT("series.fill_scans", 1);
-    FCM_OBS_GAUGE("series.fill_ratio", fill);
-  }
-  FCM_OBS_COUNT(kernel == SeriesKernel::kSparse ? "series.kernel.sparse"
-                                                : "series.kernel.dense",
-                1);
-
-  // In-place buffers: `sum` accumulates, `term` holds P^(order-1). No
-  // Matrix is allocated per order.
-  std::vector<double> sum(p.data(), p.data() + n * n);
-  std::vector<double> term = sum;
-
-  const CsrMatrix csr = kernel == SeriesKernel::kSparse
-                            ? CsrMatrix(p)
-                            : CsrMatrix(Matrix(0));
+  // One pass over P picks the kernel from its fill ratio and sign (see
+  // header).
   const double* pdata = p.data();
-
-  accumulate_orders(
-      n, options, sum, term,
-      [&](std::vector<double>& from, std::vector<double>& into) {
-        if (kernel == SeriesKernel::kSparse) {
-          for_row_ranges(n, threads, options.rows_per_task,
-                         [&](std::size_t r0, std::size_t r1) {
-                           sparse_rows(from.data(), csr, into.data(), n, r0,
-                                       r1);
-                         });
-        } else {
-          for_row_ranges(
-              n, threads, options.rows_per_task,
-              [&](std::size_t r0, std::size_t r1) {
-                dense_rows(from.data(), pdata, into.data(), n, r0, r1,
-                           std::max<std::size_t>(1, options.col_block));
-              });
-        }
-      });
-
-  Matrix result(n);
-  if (n > 0) std::memcpy(result.data(), sum.data(), n * n * sizeof(double));
-  return result;
-}
-
-Matrix power_series_sum(const CsrMatrix& p, const SeriesOptions& options) {
-  FCM_REQUIRE(options.max_order >= 1,
-              "series needs at least the first-order term");
-  const std::size_t n = p.size();
-  const double* vals = p.values();
-  for (std::size_t e = 0; e < p.nonzeros(); ++e) {
-    FCM_REQUIRE(!(vals[e] < 0.0),
-                "CSR series entry requires a nonnegative matrix");
+  std::size_t nonzero = 0;
+  bool nonnegative = true;
+  for (std::size_t i = 0; i < n * n; ++i) {
+    nonzero += pdata[i] != 0.0 ? 1 : 0;
+    nonnegative = nonnegative && !(pdata[i] < 0.0);
   }
-  FCM_OBS_SPAN("series.power_sum", n);
-  FCM_OBS_COUNT("series.csr_direct", 1);
-  FCM_OBS_COUNT("series.kernel.sparse", 1);
-  const std::size_t row_tasks =
-      n == 0 ? 0
-             : (n + std::max<std::size_t>(1, options.rows_per_task) - 1) /
-                   std::max<std::size_t>(1, options.rows_per_task);
-  const std::uint32_t threads =
-      exec::resolve_threads(options.threads, row_tasks);
+  const double fill =
+      n == 0 ? 1.0 : static_cast<double>(nonzero) / static_cast<double>(n * n);
+  const bool sparse =
+      nonnegative &&
+      fill <= (n >= kSparseLargeN ? kSparseFillLarge : kSparseFill);
+  FCM_OBS_COUNT("series.fill_scans", 1);
+  FCM_OBS_GAUGE("series.fill_ratio", fill);
+  FCM_OBS_COUNT(sparse ? "series.kernel.sparse" : "series.kernel.dense", 1);
 
-  // First-order term expanded from the CSR rows; the dense form of P is
-  // never built.
-  std::vector<double> sum(n * n, 0.0);
-  const std::uint32_t* cols = p.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    double* out = sum.data() + i * n;
-    const std::size_t end = p.row_end(i);
-    for (std::size_t e = p.row_begin(i); e < end; ++e) {
-      out[cols[e]] = vals[e];
-    }
-  }
+  // In-place buffers: `sum` accumulates, `term` holds P^(order-1) and
+  // `next` receives term × P. No Matrix is allocated per order.
+  std::vector<double> sum(pdata, pdata + n * n);
   std::vector<double> term = sum;
-
-  accumulate_orders(
-      n, options, sum, term,
-      [&](std::vector<double>& from, std::vector<double>& into) {
-        for_row_ranges(n, threads, options.rows_per_task,
-                       [&](std::size_t r0, std::size_t r1) {
-                         sparse_rows(from.data(), p, into.data(), n, r0, r1);
-                       });
-      });
+  const CsrMatrix csr = sparse ? CsrMatrix(p) : CsrMatrix(Matrix(0));
+  std::vector<double> next(n * n, 0.0);
+  std::uint64_t orders_computed = 0;
+  bool epsilon_stop = false;
+  for (int order = 2; order <= options.max_order; ++order) {
+    for_row_ranges(n, threads, [&](std::size_t r0, std::size_t r1) {
+      if (sparse) {
+        sparse_rows(term.data(), csr, next.data(), n, r0, r1);
+      } else {
+        dense_rows(term.data(), pdata, next.data(), n, r0, r1);
+      }
+    });
+    ++orders_computed;
+    term.swap(next);
+    if (options.epsilon > 0.0 && buffer_max_abs(term) < options.epsilon) {
+      epsilon_stop = true;
+      break;
+    }
+    for (std::size_t i = 0; i < n * n; ++i) sum[i] += term[i];
+  }
+  FCM_OBS_COUNT("series.orders", orders_computed);
+  if (epsilon_stop) FCM_OBS_COUNT("series.epsilon_stops", 1);
 
   Matrix result(n);
   if (n > 0) std::memcpy(result.data(), sum.data(), n * n * sizeof(double));

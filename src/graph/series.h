@@ -1,20 +1,20 @@
 // Kernels for the Eq. 3 separation power series P + P² + … + P^k.
 //
-// Three interchangeable evaluation paths sit behind `power_series_sum`:
+// `power_series_sum` evaluates the series with one of two multiply
+// kernels, chosen from P itself:
 //
-//   reference — the original naive per-order triple loop (kept as the
-//               differential baseline for tests and benches);
-//   dense     — the same multiply blocked over column tiles, with in-place
-//               term/accumulator buffers (no per-order Matrix allocation)
-//               and unchecked element access;
-//   sparse    — a CSR snapshot of P right-multiplies the dense term, which
-//               costs O(n · nnz(P)) per order instead of O(n³).
+//   dense  — the naive multiply blocked over column tiles, with in-place
+//            term/accumulator buffers (no per-order Matrix allocation)
+//            and unchecked element access;
+//   sparse — a CSR snapshot of P right-multiplies the dense term, which
+//            costs O(n · nnz(P)) per order instead of O(n³).
 //
-// `kAuto` picks sparse when P's fill ratio is at or below the effective
-// threshold (`sparse_fill_threshold`, relaxed to
-// `sparse_fill_threshold_large` once n reaches `sparse_large_n`) and P is
-// nonnegative, dense otherwise. Large graphs can also skip the dense P
-// entirely via the CsrMatrix overload below.
+// One pass over P measures its fill ratio and sign: the sparse kernel runs
+// when P is nonnegative and at most 15% full (35% once n reaches 512, where
+// the dense kernel's cache-tiling advantage fades as rows stop fitting in
+// cache), the dense kernel otherwise. `power_series_sum_reference` keeps
+// the original naive per-order triple loop as the differential baseline
+// for tests and benches.
 //
 // Determinism: every kernel performs, for each output element (i, j), the
 // same additions in the same ascending-k order as the reference loop, so
@@ -23,9 +23,9 @@
 // accumulator exists). The sparse kernel skips exactly the terms where
 // P[k][j] == 0.0; for nonnegative matrices (the influence domain — entries
 // are probabilities) adding those a·0.0 terms is a bitwise no-op, so the
-// sparse path is bitwise identical to the dense one there. `kAuto` only
-// selects the sparse kernel after verifying nonnegativity, which makes the
-// automatic path unconditionally safe.
+// sparse path is bitwise identical to the dense one there. The sparse
+// kernel only runs after nonnegativity is verified, which makes the
+// selection unconditionally safe.
 #pragma once
 
 #include <cstdint>
@@ -34,55 +34,19 @@
 
 namespace fcm::graph {
 
-/// Which multiply kernel evaluates the series.
-enum class SeriesKernel : std::uint8_t {
-  kAuto,       ///< sparse when fill ≤ threshold and P ≥ 0, else dense
-  kDense,      ///< blocked dense multiply
-  kSparse,     ///< CSR right-multiply (caller asserts P has no -0.0 games)
-  kReference,  ///< the original naive triple loop
-};
-
 /// Evaluation controls for `power_series_sum`.
 struct SeriesOptions {
   /// Highest matrix power included (>= 1).
   int max_order = 6;
   /// Stop early once a term's largest entry falls below this (0 = never).
   double epsilon = 0.0;
-  SeriesKernel kernel = SeriesKernel::kAuto;
   /// Worker threads for the per-order multiply. 0 = hardware concurrency.
   /// The result is bitwise identical for every value.
   std::uint32_t threads = 1;
-  /// Fill ratio at or below which kAuto switches to the sparse kernel.
-  double sparse_fill_threshold = 0.15;
-  /// Fill threshold used instead once n >= sparse_large_n. At scale the
-  /// O(n · nnz) sparse multiply beats the dense kernel well past the
-  /// small-matrix crossover (the dense kernel's cache-tiling advantage
-  /// fades as rows stop fitting in cache), so kAuto accepts denser
-  /// matrices. The effective large-n threshold is
-  /// max(sparse_fill_threshold, sparse_fill_threshold_large).
-  double sparse_fill_threshold_large = 0.35;
-  /// Matrix size at which sparse_fill_threshold_large takes over.
-  std::size_t sparse_large_n = 512;
-  /// Rows per parallel work unit (scheduling granule only — results never
-  /// depend on it).
-  std::size_t rows_per_task = 16;
-  /// Column tile width of the dense kernel (cache shaping only — results
-  /// never depend on it).
-  std::size_t col_block = 128;
 };
 
 /// P + P² + … + P^max_order under `options`.
 Matrix power_series_sum(const Matrix& p, const SeriesOptions& options);
-
-class CsrMatrix;
-
-/// Same series evaluated directly from a CSR snapshot of P — the dense P is
-/// never materialized, so the O(n²) input buffer disappears from the
-/// sparse-first pipeline (only the term/accumulator buffers remain dense).
-/// Always runs the sparse kernel; requires P nonnegative (the influence
-/// domain), which makes the result bitwise identical to evaluating the
-/// dense entry point on `p.to_dense()`.
-Matrix power_series_sum(const CsrMatrix& p, const SeriesOptions& options);
 
 /// The original naive implementation, exported as the differential baseline.
 Matrix power_series_sum_reference(const Matrix& p, int max_order,

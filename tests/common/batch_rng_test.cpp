@@ -76,7 +76,6 @@ TEST_P(BatchRngBackendTest, SubstreamsStayIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BatchRngBackendTest,
                          ::testing::Values(simd::Backend::kScalarRef,
-                                           simd::Backend::kAutoVec,
                                            simd::Backend::kSimd),
                          [](const auto& info) {
                            return simd::backend_name(info.param);

@@ -79,18 +79,18 @@ TEST(ExecutorDifferential, MonteCarloReportsMatchTheRetiredEngine) {
 // --- Series kernels -------------------------------------------------------
 
 TEST(ExecutorDifferential, SeriesKernelsMatchTheRetiredEngine) {
-  // Dense enough for the dense kernel, small rows_per_task so several
-  // parallel tasks exist even at n = 24.
+  // Dense enough for the dense kernel; n = 48 splits into three 16-row
+  // parallel tasks.
+  constexpr std::size_t kN = 48;
   Rng rng(11);
-  graph::Matrix p(24);
-  for (std::size_t i = 0; i < 24; ++i) {
-    for (std::size_t j = 0; j < 24; ++j) {
+  graph::Matrix p(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t j = 0; j < kN; ++j) {
       if (i != j && rng.uniform() < 0.3) p.at(i, j) = rng.uniform(0.05, 0.6);
     }
   }
   graph::SeriesOptions options;
   options.max_order = 6;
-  options.rows_per_task = 4;
   options.threads = 1;
   const graph::Matrix reference = graph::power_series_sum(p, options);
   for (const std::uint32_t threads : kThreadCounts) {
@@ -98,7 +98,7 @@ TEST(ExecutorDifferential, SeriesKernelsMatchTheRetiredEngine) {
     const graph::Matrix result = graph::power_series_sum(p, options);
     ASSERT_EQ(result.size(), reference.size());
     EXPECT_EQ(std::memcmp(result.data(), reference.data(),
-                          24 * 24 * sizeof(double)),
+                          kN * kN * sizeof(double)),
               0)
         << "threads " << threads;
   }

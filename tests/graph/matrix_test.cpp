@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "graph/series.h"
 
 namespace fcm::graph {
 namespace {
@@ -74,7 +75,7 @@ TEST(Matrix, SizeMismatchThrows) {
 TEST(PowerSeries, FirstOrderOnly) {
   Matrix p(2);
   p.at(0, 1) = 0.5;
-  const Matrix s = power_series_sum(p, 1);
+  const Matrix s = power_series_sum(p, {.max_order = 1});
   EXPECT_DOUBLE_EQ(s.at(0, 1), 0.5);
   EXPECT_DOUBLE_EQ(s.at(0, 0), 0.0);
 }
@@ -83,7 +84,7 @@ TEST(PowerSeries, MatchesGeometricClosedForm) {
   // Scalar case: p + p^2 + ... + p^k for a 1x1 matrix.
   Matrix p(1);
   p.at(0, 0) = 0.5;
-  const Matrix s = power_series_sum(p, 10);
+  const Matrix s = power_series_sum(p, {.max_order = 10});
   // sum_{i=1..10} 0.5^i = 1 - 0.5^10 (geometric).
   EXPECT_NEAR(s.at(0, 0), 1.0 - std::pow(0.5, 10), 1e-12);
 }
@@ -93,7 +94,7 @@ TEST(PowerSeries, TransitiveTwoHopTerm) {
   Matrix p(3);
   p.at(0, 1) = 0.5;
   p.at(1, 2) = 0.4;
-  const Matrix s = power_series_sum(p, 3);
+  const Matrix s = power_series_sum(p, {.max_order = 3});
   EXPECT_NEAR(s.at(0, 2), 0.2, 1e-12);
   EXPECT_NEAR(s.at(0, 1), 0.5, 1e-12);
 }
@@ -103,13 +104,14 @@ TEST(PowerSeries, EpsilonTruncates) {
   p.at(0, 1) = 1e-4;
   p.at(1, 0) = 1e-4;
   // Second-order term has magnitude 1e-8 < epsilon -> dropped.
-  const Matrix s = power_series_sum(p, 10, 1e-6);
+  const Matrix s =
+      power_series_sum(p, {.max_order = 10, .epsilon = 1e-6});
   EXPECT_DOUBLE_EQ(s.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(s.at(0, 1), 1e-4);
 }
 
 TEST(PowerSeries, RejectsZeroOrder) {
-  EXPECT_THROW(power_series_sum(Matrix(2), 0), InvalidArgument);
+  EXPECT_THROW(power_series_sum(Matrix(2), {.max_order = 0}), InvalidArgument);
 }
 
 }  // namespace

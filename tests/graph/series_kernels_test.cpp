@@ -1,34 +1,47 @@
 // Differential tests for the Eq. 3 series kernels: the blocked dense kernel,
 // the CSR sparse kernel, and the threaded row-pool must all be *bitwise*
-// equal to the naive reference loop, for any thread count. Also covers the
-// CSR round-trip, the cached content hash, and the unchecked accessors the
+// equal to the naive reference loop, for any thread count. Each kernel is
+// reached through its input — P's fill ratio and sign select it — and the
+// series.kernel.* obs counters confirm which one ran. Also covers the CSR
+// round-trip, the cached content hash, and the unchecked accessors the
 // kernels rely on.
 #include "graph/series.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "graph/csr.h"
 #include "graph/matrix.h"
+#include "obs/obs.h"
 
 namespace fcm::graph {
 namespace {
 
-// Random nonnegative influence-like matrix: zero diagonal, `fill` chance of
-// an edge, weights in (0.05, 0.9).
+// Random nonnegative influence-like matrix: exactly floor(fill · n²) nonzero
+// entries at random off-diagonal positions, weights in (0.05, 0.9). The
+// exact count pins the fill ratio, and with it the kernel the series
+// selects.
 Matrix random_influence(std::size_t n, double fill, std::uint64_t seed) {
   Rng rng(seed);
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < n * n; ++i) {
+    if (i / n != i % n) slots.push_back(i);
+  }
+  rng.shuffle(std::span<std::size_t>(slots));
+  const auto count =
+      static_cast<std::size_t>(fill * static_cast<double>(n * n));
   Matrix p(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && rng.uniform() < fill) {
-        p.at(i, j) = rng.uniform(0.05, 0.9);
-      }
-    }
+  for (std::size_t e = 0; e < count && e < slots.size(); ++e) {
+    p.data()[slots[e]] = rng.uniform(0.05, 0.9);
   }
   return p;
 }
@@ -41,6 +54,36 @@ void expect_bitwise_equal(const Matrix& a, const Matrix& b) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
                         a.size() * a.size() * sizeof(double)),
             0);
+}
+
+enum class Kernel { kDense, kSparse };
+
+// power_series_sum(p, options), checking through the series.kernel.* obs
+// counters that P selected `expected`. With -DFCM_OBS=OFF the counters are
+// compiled out and only the evaluation remains.
+Matrix series_via(Kernel expected, const Matrix& p,
+                  const SeriesOptions& options) {
+#if FCM_OBS_ENABLED
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::MetricsRegistry::global().reset();
+  Matrix result = power_series_sum(p, options);
+  const auto counters = obs::MetricsRegistry::global().snapshot().counters;
+  obs::MetricsRegistry::global().reset();
+  obs::set_enabled(was_enabled);
+  std::string ran;
+  for (const char* kernel : {"dense", "sparse"}) {
+    if (counters.contains(std::string("series.kernel.") + kernel)) {
+      ran += kernel;
+    }
+  }
+  EXPECT_EQ(ran, expected == Kernel::kSparse ? "sparse" : "dense")
+      << "n=" << p.size() << " fill=" << p.fill_ratio();
+  return result;
+#else
+  (void)expected;
+  return power_series_sum(p, options);
+#endif
 }
 
 TEST(CsrMatrix, RoundTripsRandomMatrices) {
@@ -66,67 +109,40 @@ TEST(CsrMatrix, DropsExactZerosOnly) {
   expect_bitwise_equal(csr.to_dense(), m);
 }
 
-TEST(CsrMatrix, TripletConstructorHandlesEmptyTrailingRows) {
-  // Rows 3..6 hold no entries: their spans must be empty (row_ptr still has
-  // n + 1 monotone offsets), explicit zeros are dropped, and the CSR-direct
-  // series over the ragged structure must match the dense reference bitwise.
-  const std::size_t n = 7;
-  const CsrMatrix csr(
-      n, {{0, 2, 0.4}, {0, 5, 0.1}, {2, 0, 0.3}, {2, 6, 0.25}, {1, 4, 0.0}});
-  EXPECT_EQ(csr.nonzeros(), 4u);
-  for (std::size_t r = 3; r < n; ++r) {
-    EXPECT_EQ(csr.row_begin(r), csr.row_end(r)) << "row " << r;
-  }
-  EXPECT_EQ(csr.row_begin(1), csr.row_end(1));  // interior empty row too
-  const Matrix dense = csr.to_dense();
-  SeriesOptions options;
-  options.max_order = 6;
-  options.kernel = SeriesKernel::kSparse;
-  expect_bitwise_equal(power_series_sum(csr, options),
-                       power_series_sum_reference(dense, options.max_order));
-}
-
 TEST(SeriesKernels, EmptyTrailingRowsMatchReference) {
   // All-zero final rows: the CSR row loop sees empty trailing spans and the
   // dense gather collects zero coefficients for those output rows. Sizes
-  // straddle the 4/8 lane widths so the batched remainder runs too.
-  for (const std::size_t n : {5u, 13u}) {
-    Matrix p = random_influence(n, 0.4, 17);
-    for (std::size_t j = 0; j < n; ++j) {
-      p.at(n - 1, j) = 0.0;
-      p.at(n - 2, j) = 0.0;
-    }
-    const Matrix reference = power_series_sum_reference(p, 6);
-    for (const SeriesKernel kernel : {SeriesKernel::kDense,
-                                      SeriesKernel::kSparse,
-                                      SeriesKernel::kAuto}) {
-      SeriesOptions options;
-      options.max_order = 6;
-      options.kernel = kernel;
-      expect_bitwise_equal(power_series_sum(p, options), reference);
+  // straddle the 4/8 lane widths so the batched remainder runs too, and
+  // stay large enough that the zeroed rows cannot pull the 0.4 fill below
+  // the sparse threshold.
+  for (const std::size_t n : {13u, 21u}) {
+    for (const auto& [fill, kernel] :
+         {std::pair{0.1, Kernel::kSparse}, std::pair{0.4, Kernel::kDense}}) {
+      Matrix p = random_influence(n, fill, 17);
+      for (std::size_t j = 0; j < n; ++j) {
+        p.at(n - 1, j) = 0.0;
+        p.at(n - 2, j) = 0.0;
+      }
+      expect_bitwise_equal(series_via(kernel, p, {.max_order = 6}),
+                           power_series_sum_reference(p, 6));
     }
   }
 }
 
 TEST(SeriesKernels, BitwiseIdenticalAcrossSimdBackends) {
   // The SoA row kernels must give the same bits no matter which backend the
-  // dispatcher picked. n = 23 with col_block = 16 leaves a ragged 7-wide
-  // column tile, so the vector remainder paths are on trial as well.
-  const Matrix p = random_influence(23, 0.3, 29);
+  // dispatcher picked. The dense input's n = 135 leaves a ragged 7-wide
+  // column tile after the 128-wide one, so the vector remainder paths are
+  // on trial as well.
   const simd::Backend saved = simd::active_backend();
-  for (const SeriesKernel kernel : {SeriesKernel::kDense,
-                                    SeriesKernel::kSparse}) {
-    SeriesOptions options;
-    options.max_order = 8;
-    options.kernel = kernel;
-    options.col_block = 16;
+  for (const auto& [n, fill, kernel] :
+       {std::tuple{std::size_t{135}, 0.4, Kernel::kDense},
+        std::tuple{std::size_t{23}, 0.1, Kernel::kSparse}}) {
+    const Matrix p = random_influence(n, fill, 29);
     simd::set_backend(simd::Backend::kScalarRef);
-    const Matrix reference = power_series_sum(p, options);
-    for (const simd::Backend b :
-         {simd::Backend::kAutoVec, simd::Backend::kSimd}) {
-      simd::set_backend(b);
-      expect_bitwise_equal(power_series_sum(p, options), reference);
-    }
+    const Matrix reference = series_via(kernel, p, {.max_order = 8});
+    simd::set_backend(simd::Backend::kSimd);
+    expect_bitwise_equal(series_via(kernel, p, {.max_order = 8}), reference);
   }
   simd::set_backend(saved);
 }
@@ -175,29 +191,28 @@ TEST(Matrix, ContentHashInvalidatedByUncheckedWrites) {
 struct KernelCase {
   std::size_t n;
   double fill;
-  SeriesKernel kernel;
+  bool negative;  // plant one negative entry, which forces the dense kernel
+  Kernel kernel;
 };
 
 class SeriesKernels : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeriesKernels, BitwiseEqualToReferenceAcrossThreadCounts) {
+  // n = 48 splits into three 16-row tasks, so threads matter; n = 135 adds
+  // a ragged column tile and a ragged last row task.
   const KernelCase cases[] = {
-      {5, 0.08, SeriesKernel::kSparse},  {5, 0.5, SeriesKernel::kDense},
-      {23, 0.08, SeriesKernel::kSparse}, {23, 0.08, SeriesKernel::kDense},
-      {23, 0.5, SeriesKernel::kDense},   {23, 0.08, SeriesKernel::kAuto},
-      {23, 0.5, SeriesKernel::kAuto},    {41, 0.12, SeriesKernel::kAuto},
+      {5, 0.08, false, Kernel::kSparse},  {5, 0.4, false, Kernel::kDense},
+      {48, 0.08, false, Kernel::kSparse}, {48, 0.08, true, Kernel::kDense},
+      {48, 0.4, false, Kernel::kDense},   {135, 0.4, false, Kernel::kDense},
   };
   for (const KernelCase& c : cases) {
-    const Matrix p = random_influence(c.n, c.fill, GetParam());
+    Matrix p = random_influence(c.n, c.fill, GetParam());
+    if (c.negative) p.at(1, 3) = -0.5;
     const Matrix reference = power_series_sum_reference(p, 6);
     for (const std::uint32_t threads : {1u, 4u, 8u}) {
-      SeriesOptions options;
-      options.max_order = 6;
-      options.kernel = c.kernel;
-      options.threads = threads;
-      options.rows_per_task = 4;  // small enough that threads matter at n=23
-      options.col_block = 16;
-      expect_bitwise_equal(power_series_sum(p, options), reference);
+      expect_bitwise_equal(
+          series_via(c.kernel, p, {.max_order = 6, .threads = threads}),
+          reference);
     }
   }
 }
@@ -206,42 +221,49 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeriesKernels,
                          ::testing::Range<std::uint64_t>(1, 9));
 
 TEST(SeriesKernels, EpsilonTruncationMatchesReference) {
-  const Matrix p = random_influence(19, 0.1, 42);
-  for (const double epsilon : {1e-3, 1e-6, 1e-9}) {
-    const Matrix reference = power_series_sum_reference(p, 12, epsilon);
-    for (const SeriesKernel kernel :
-         {SeriesKernel::kDense, SeriesKernel::kSparse, SeriesKernel::kAuto}) {
-      SeriesOptions options;
-      options.max_order = 12;
-      options.epsilon = epsilon;
-      options.kernel = kernel;
-      options.threads = 4;
-      options.rows_per_task = 2;
-      expect_bitwise_equal(power_series_sum(p, options), reference);
+  for (const auto& [fill, kernel] :
+       {std::pair{0.08, Kernel::kSparse}, std::pair{0.4, Kernel::kDense}}) {
+    // Weights scaled so row sums sit near 0.1: terms shrink by ~10x per
+    // order and every epsilon below truncates the series.
+    Matrix p = random_influence(48, fill, 42);
+    for (std::size_t i = 0; i < 48 * 48; ++i) {
+      p.data()[i] *= 0.2 / (48.0 * fill);
+    }
+    for (const double epsilon : {1e-3, 1e-6, 1e-9}) {
+      expect_bitwise_equal(
+          series_via(kernel, p,
+                     {.max_order = 12, .epsilon = epsilon, .threads = 4}),
+          power_series_sum_reference(p, 12, epsilon));
     }
   }
 }
 
 TEST(SeriesKernels, DenseKernelHandlesNegativeEntries) {
-  // kAuto must never pick the sparse kernel for a matrix with negative
-  // entries (the zero-skip is only an additive no-op for nonnegative data);
-  // the dense path must still match the reference bitwise.
+  // A matrix with a negative entry must never take the sparse kernel (the
+  // zero-skip is only an additive no-op for nonnegative data), however
+  // sparse it is; the dense path must still match the reference bitwise.
   Matrix p = random_influence(11, 0.1, 3);
   p.at(2, 7) = -0.5;
-  const Matrix reference = power_series_sum_reference(p, 5);
-  for (const SeriesKernel kernel : {SeriesKernel::kAuto, SeriesKernel::kDense}) {
-    SeriesOptions options;
-    options.max_order = 5;
-    options.kernel = kernel;
-    expect_bitwise_equal(power_series_sum(p, options), reference);
+  expect_bitwise_equal(series_via(Kernel::kDense, p, {.max_order = 5}),
+                       power_series_sum_reference(p, 5));
+}
+
+TEST(SeriesKernels, SizeRelaxedFillThresholdStartsAt512) {
+  // A quarter-full matrix is too dense for the sparse kernel below 512
+  // rows and sparse enough for it from 512 rows on.
+  for (const auto& [n, kernel] :
+       {std::pair{std::size_t{511}, Kernel::kDense},
+        std::pair{std::size_t{512}, Kernel::kSparse}}) {
+    const Matrix p = random_influence(n, 0.25, 5);
+    expect_bitwise_equal(series_via(kernel, p, {.max_order = 2}),
+                         power_series_sum_reference(p, 2));
   }
 }
 
 TEST(SeriesKernels, HardwareConcurrencyThreadsValue) {
-  const Matrix p = random_influence(13, 0.2, 11);
+  const Matrix p = random_influence(48, 0.2, 11);
   SeriesOptions options;
   options.threads = 0;  // hardware concurrency
-  options.rows_per_task = 1;
   expect_bitwise_equal(power_series_sum(p, options),
                        power_series_sum_reference(p, options.max_order));
 }

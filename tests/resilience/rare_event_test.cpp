@@ -117,11 +117,8 @@ TEST(RareEvent, EstimateIsBitwiseIdenticalAcrossSimdBackends) {
   const simd::Backend saved = simd::active_backend();
   simd::set_backend(simd::Backend::kScalarRef);
   const std::string reference = to_json(estimate(options));
-  for (const simd::Backend b :
-       {simd::Backend::kAutoVec, simd::Backend::kSimd}) {
-    simd::set_backend(b);
-    EXPECT_EQ(reference, to_json(estimate(options)));
-  }
+  simd::set_backend(simd::Backend::kSimd);
+  EXPECT_EQ(reference, to_json(estimate(options)));
   simd::set_backend(saved);
 }
 

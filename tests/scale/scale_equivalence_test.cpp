@@ -11,6 +11,7 @@
 #include "graph/series.h"
 #include "mapping/clustering.h"
 #include "mapping/planner.h"
+#include "obs/obs.h"
 
 namespace fcm {
 namespace {
@@ -73,24 +74,31 @@ RandomSystem random_system(std::size_t n, double fill, std::uint64_t seed) {
 }
 
 TEST(ScaleSeries, KernelsBitwiseEqualAtN96) {
+  // P's fill selects the kernel: 5% takes the sparse one, 40% the dense
+  // one. The series.kernel.* obs counters confirm which ran.
   struct Case {
     double fill;
-    graph::SeriesKernel kernel;
+    const char* kernel;
   };
-  const Case cases[] = {
-      {0.05, graph::SeriesKernel::kSparse},
-      {0.05, graph::SeriesKernel::kAuto},
-      {0.40, graph::SeriesKernel::kDense},
-      {0.40, graph::SeriesKernel::kAuto},
-  };
+  const Case cases[] = {{0.05, "series.kernel.sparse"},
+                        {0.40, "series.kernel.dense"}};
   for (const Case& c : cases) {
     const graph::Matrix p = random_influence(96, c.fill, 2026);
     const graph::Matrix reference = graph::power_series_sum_reference(p, 6);
     for (const std::uint32_t threads : {1u, 4u, 8u}) {
-      graph::SeriesOptions options;
-      options.kernel = c.kernel;
-      options.threads = threads;
-      expect_bitwise_equal(graph::power_series_sum(p, options), reference);
+#if FCM_OBS_ENABLED
+      obs::set_enabled(true);
+      obs::MetricsRegistry::global().reset();
+#endif
+      expect_bitwise_equal(
+          graph::power_series_sum(p, {.max_order = 6, .threads = threads}),
+          reference);
+#if FCM_OBS_ENABLED
+      EXPECT_TRUE(obs::MetricsRegistry::global().snapshot().counters.contains(
+          c.kernel))
+          << c.kernel;
+      obs::set_enabled(false);
+#endif
     }
   }
 }
