@@ -251,7 +251,7 @@ void bernoulli_avx2(std::uint64_t* state, std::uint64_t inc, double threshold,
     const rng_detail::Jump jump = rng_detail::jump_coefficients(
         inc, 2 * static_cast<std::uint64_t>(n));
     *state = *state * jump.mult + jump.plus;
-    std::memset(dst, 1, n);
+    if (n > 0) std::memset(dst, 1, n);  // dst may be null when n == 0
     return;
   } else {
     cutoff = static_cast<std::uint64_t>(std::ceil(scaled));

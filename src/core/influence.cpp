@@ -158,34 +158,26 @@ double InfluenceModel::mutual_influence(FcmId a, FcmId b) const {
 graph::Digraph InfluenceModel::to_graph() const {
   graph::Digraph g;
   for (const Member& m : members_) g.add_node(m.name);
-  for (std::size_t from = 0; from < members_.size(); ++from) {
-    for (std::size_t to = 0; to < members_.size(); ++to) {
-      if (from == to) continue;
-      const auto it = pairs_.find(pair_key(from, to));
-      if (it == pairs_.end()) continue;
-      std::string label;
-      for (const InfluenceFactor& f : it->second.factors) {
-        if (!label.empty()) label += ',';
-        label += to_string(f.kind);
-      }
-      g.add_edge(static_cast<graph::NodeIndex>(from),
-                 static_cast<graph::NodeIndex>(to),
-                 combined(it->second).value(), std::move(label));
+  for_each_pair([&g](std::size_t from, std::size_t to, Probability p,
+                     const std::vector<InfluenceFactor>& factors) {
+    std::string label;
+    for (const InfluenceFactor& f : factors) {
+      if (!label.empty()) label += ',';
+      label += to_string(f.kind);
     }
-  }
+    g.add_edge(static_cast<graph::NodeIndex>(from),
+               static_cast<graph::NodeIndex>(to), p.value(),
+               std::move(label));
+  });
   return g;
 }
 
 graph::Matrix InfluenceModel::to_matrix() const {
   graph::Matrix m(members_.size());
-  for (std::size_t from = 0; from < members_.size(); ++from) {
-    for (std::size_t to = 0; to < members_.size(); ++to) {
-      if (from == to) continue;
-      const auto it = pairs_.find(pair_key(from, to));
-      if (it == pairs_.end()) continue;
-      m.at(from, to) = combined(it->second).value();
-    }
-  }
+  for_each_pair([&m](std::size_t from, std::size_t to, Probability p,
+                     const std::vector<InfluenceFactor>&) {
+    m.at(from, to) = p.value();
+  });
   return m;
 }
 

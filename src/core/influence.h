@@ -15,9 +15,9 @@
 // other direction").
 #pragma once
 
+#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -121,6 +121,19 @@ class InfluenceModel {
   /// the pairing key of heuristic H1.
   [[nodiscard]] double mutual_influence(FcmId a, FcmId b) const;
 
+  /// Visits every recorded pair once, in ascending (from, to) member-index
+  /// order, as visit(from index, to index, Eq. 2 influence, factors) —
+  /// pairs whose influence is zero included. One pass over the pairs that
+  /// exist instead of a lookup per ordered member pair.
+  template <typename Visit>
+  void for_each_pair(Visit&& visit) const {
+    for (const auto& [key, data] : pairs_) {
+      visit(static_cast<std::size_t>(key >> 32),
+            static_cast<std::size_t>(key & 0xffffffffu), combined(data),
+            data.factors);
+    }
+  }
+
   /// The labeled directed influence graph of §4.2.4 (nodes = members in
   /// registration order, edge weights = influence, labels = factor kinds).
   [[nodiscard]] graph::Digraph to_graph() const;
@@ -145,8 +158,9 @@ class InfluenceModel {
     std::string name;
   };
   std::vector<Member> members_;
-  // (from index << 32 | to index) -> data.
-  std::unordered_map<std::uint64_t, PairData> pairs_;
+  // (from index << 32 | to index) -> data; ordered, so for_each_pair walks
+  // in ascending (from, to) order.
+  std::map<std::uint64_t, PairData> pairs_;
 };
 
 }  // namespace fcm::core

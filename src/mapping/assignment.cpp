@@ -1,8 +1,6 @@
 #include "mapping/assignment.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <set>
 
 #include "common/error.h"
@@ -69,6 +67,38 @@ bool resources_ok(const ClusterInfo& cluster, const HwNode& node) {
                        cluster.required_resources.end());
 }
 
+/// One quotient neighbour of a cluster: mutual = w(c,o) + w(o,c) > 0.
+struct Neighbour {
+  std::uint32_t cluster = 0;
+  double mutual = 0.0;
+};
+
+/// Per cluster, its quotient neighbours with positive mutual influence, in
+/// ascending cluster index — the only clusters that add dilation cost.
+std::vector<std::vector<Neighbour>> quotient_neighbours(
+    const graph::Digraph& quotient) {
+  std::vector<std::vector<Neighbour>> neighbours(quotient.node_count());
+  std::vector<std::uint32_t> adjacent;
+  for (std::uint32_t c = 0; c < neighbours.size(); ++c) {
+    adjacent.clear();
+    for (const std::uint32_t e : quotient.out_edges(c)) {
+      adjacent.push_back(quotient.edges()[e].to);
+    }
+    for (const std::uint32_t e : quotient.in_edges(c)) {
+      adjacent.push_back(quotient.edges()[e].from);
+    }
+    std::sort(adjacent.begin(), adjacent.end());
+    adjacent.erase(std::unique(adjacent.begin(), adjacent.end()),
+                   adjacent.end());
+    for (const std::uint32_t other : adjacent) {
+      const double mutual = quotient.weight(c, other).value_or(0.0) +
+                            quotient.weight(other, c).value_or(0.0);
+      if (mutual > 0.0) neighbours[c].push_back(Neighbour{other, mutual});
+    }
+  }
+  return neighbours;
+}
+
 /// Places clusters in the given order; each takes a resource-feasible HW
 /// node, preferring low added dilation (Σ influence x hops to placed
 /// clusters) and resource-poor nodes (so specialized nodes stay available
@@ -77,8 +107,9 @@ bool resources_ok(const ClusterInfo& cluster, const HwNode& node) {
 struct Placer {
   const std::vector<std::uint32_t>& order;
   const std::vector<ClusterInfo>& info;
-  const ClusteringResult& clustering;
+  const std::vector<std::vector<Neighbour>>& neighbours;
   const HwGraph& hw;
+  const HopTable& hops;
   Assignment assignment;
   std::vector<bool> used;
 
@@ -96,15 +127,9 @@ struct Placer {
       if (used[candidate.id.value()]) continue;
       if (!resources_ok(info[c], candidate)) continue;
       double cost = 0.0;
-      for (std::uint32_t other = 0; other < info.size(); ++other) {
-        if (!assignment.hw_of[other].valid()) continue;
-        const double influence =
-            clustering.quotient.weight(c, other).value_or(0.0) +
-            clustering.quotient.weight(other, c).value_or(0.0);
-        if (influence > 0.0) {
-          cost += influence *
-                  hw.hop_distance(candidate.id, assignment.hw_of[other]);
-        }
+      for (const Neighbour& other : neighbours[c]) {
+        const HwNodeId host = assignment.hw_of[other.cluster];
+        if (host.valid()) cost += other.mutual * hops(candidate.id, host);
       }
       candidates.push_back(
           Candidate{candidate.id, cost, candidate.resources.size()});
@@ -133,7 +158,12 @@ Assignment place_in_order(const std::vector<std::uint32_t>& order,
                           const HwGraph& hw) {
   FCM_REQUIRE(info.size() <= hw.node_count(),
               "more clusters than HW nodes; cluster further first");
-  Placer placer{order, info, clustering, hw, Assignment{}, {}};
+  FCM_REQUIRE(clustering.quotient.node_count() == info.size(),
+              "quotient does not cover every cluster");
+  const std::vector<std::vector<Neighbour>> neighbours =
+      quotient_neighbours(clustering.quotient);
+  const HopTable hops(hw);
+  Placer placer{order, info, neighbours, hw, hops, Assignment{}, {}};
   placer.assignment.hw_of.assign(info.size(), HwNodeId::invalid());
   placer.used.assign(hw.node_count(), false);
   if (!placer.place(0)) {

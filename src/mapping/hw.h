@@ -9,12 +9,12 @@
 // be expressed.
 #pragma once
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/ids.h"
-#include "graph/digraph.h"
 
 namespace fcm::mapping {
 
@@ -28,8 +28,15 @@ struct HwNode {
   std::set<std::string> resources;
 };
 
-/// The HW interconnection graph. Edges carry link bandwidth (abstract
-/// units); hop distance is used for dilation-aware mapping.
+/// One end of a bidirectional link, as seen from the other end.
+struct HwLink {
+  std::uint32_t to = 0;  ///< the neighbouring node's id value
+  double bandwidth = 0.0;
+};
+
+/// The HW interconnection graph: nodes plus bidirectional links carrying a
+/// bandwidth (abstract units). Hop distance is used for dilation-aware
+/// mapping.
 class HwGraph {
  public:
   HwGraph() = default;
@@ -42,7 +49,9 @@ class HwGraph {
   HwNodeId add_node(std::string name, double memory = 0.0,
                     std::set<std::string> resources = {});
 
-  /// Bidirectional link with the given bandwidth.
+  /// Bidirectional link with the given bandwidth. Throws InvalidArgument
+  /// for an unknown node, a self-link, a duplicate link, or a non-positive
+  /// bandwidth.
   void add_link(HwNodeId a, HwNodeId b, double bandwidth);
 
   [[nodiscard]] std::size_t node_count() const noexcept {
@@ -53,23 +62,56 @@ class HwGraph {
     return nodes_;
   }
 
+  /// The node's links, ascending by neighbour.
+  [[nodiscard]] const std::vector<HwLink>& links(HwNodeId id) const;
+
   [[nodiscard]] bool linked(HwNodeId a, HwNodeId b) const;
 
   /// Minimum hop count between two nodes (0 for a==b); throws Infeasible
-  /// when disconnected.
+  /// when disconnected. One BFS per call: callers with many lookups build
+  /// a HopTable instead.
   [[nodiscard]] int hop_distance(HwNodeId a, HwNodeId b) const;
 
   /// Every ordered node pair mutually reachable.
   [[nodiscard]] bool strongly_connected() const;
 
-  /// The underlying interconnection digraph (both directions per link).
-  [[nodiscard]] const graph::Digraph& interconnect() const noexcept {
-    return graph_;
+ private:
+  friend class HopTable;
+
+  /// Hop counts from `source` into dist[0, node_count()) (-1 where
+  /// unreachable), with `queue` as scratch; allocates nothing once `queue`
+  /// holds node_count() entries. Stops as soon as every node is reached, so
+  /// a source in a complete network costs O(node_count()).
+  void bfs(std::uint32_t source, int* dist,
+           std::vector<std::uint32_t>& queue) const;
+
+  /// The Infeasible error for an unreachable pair.
+  [[noreturn]] void throw_disconnected(HwNodeId a, HwNodeId b) const;
+
+  std::vector<HwNode> nodes_;
+  std::vector<std::vector<HwLink>> links_;
+};
+
+/// Hop counts between every ordered node pair of one platform, computed
+/// once up front so that placement and dilation read a table instead of
+/// running a BFS per lookup. The table references `hw`, which must outlive
+/// it and must not change.
+class HopTable {
+ public:
+  explicit HopTable(const HwGraph& hw);
+  HopTable(const HwGraph&&) = delete;  // would outlive a temporary graph
+
+  /// hw.hop_distance(a, b) for two known nodes, same Infeasible error.
+  [[nodiscard]] int operator()(HwNodeId a, HwNodeId b) const {
+    const int hops = hops_[a.value() * n_ + b.value()];
+    if (hops < 0) hw_.throw_disconnected(a, b);
+    return hops;
   }
 
  private:
-  std::vector<HwNode> nodes_;
-  graph::Digraph graph_;
+  const HwGraph& hw_;
+  std::size_t n_;
+  std::vector<int> hops_;  // row-major, -1 = unreachable
 };
 
 }  // namespace fcm::mapping

@@ -151,9 +151,10 @@ MappingQuality evaluate(const SwGraph& sw, const ClusteringResult& clustering,
   }
 
   // Dilation: influence weight x hop distance between host nodes.
+  const HopTable hops(hw);
   for (const graph::Edge& e : clustering.quotient.edges()) {
-    q.dilation += e.weight * hw.hop_distance(assignment.hw_of[e.from],
-                                             assignment.hw_of[e.to]);
+    q.dilation +=
+        e.weight * hops(assignment.hw_of[e.from], assignment.hw_of[e.to]);
   }
   return q;
 }

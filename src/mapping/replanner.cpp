@@ -36,6 +36,28 @@ SheddingRecord record_of(const SwGraph& sw, graph::NodeIndex v) {
 
 }  // namespace
 
+HwGraph surviving_platform(const HwGraph& hw, const std::vector<bool>& dead) {
+  FCM_REQUIRE(dead.size() == hw.node_count(),
+              "dead-node mask does not cover the HW graph");
+  HwGraph survivors;
+  std::vector<std::uint32_t> new_of_orig(hw.node_count(), UINT32_MAX);
+  for (const HwNode& node : hw.nodes()) {
+    if (dead[node.id.value()]) continue;
+    new_of_orig[node.id.value()] =
+        survivors.add_node(node.name, node.memory, node.resources).value();
+  }
+  for (const HwNode& node : hw.nodes()) {
+    if (dead[node.id.value()]) continue;
+    for (const HwLink& link : hw.links(node.id)) {
+      // Each link is listed at both ends; copy it once, from the lower one.
+      if (link.to < node.id.value() || dead[link.to]) continue;
+      survivors.add_link(HwNodeId(new_of_orig[node.id.value()]),
+                         HwNodeId(new_of_orig[link.to]), link.bandwidth);
+    }
+  }
+  return survivors;
+}
+
 std::vector<core::Criticality> ReplanResult::surviving_levels() const {
   std::set<core::Criticality> alive, lost;
   for (const ProcessSurvival& p : processes) {
@@ -117,21 +139,10 @@ ReplanResult replan_after_loss(const SwGraph& sw,
                 "failed HW node is unknown");
     dead[id.value()] = true;
   }
-  HwGraph surviving_hw;
+  const HwGraph surviving_hw = surviving_platform(hw, dead);
   std::vector<HwNodeId> orig_of_new;
-  std::vector<std::uint32_t> new_of_orig(hw.node_count(), UINT32_MAX);
   for (const HwNode& node : hw.nodes()) {
-    if (dead[node.id.value()]) continue;
-    const HwNodeId fresh =
-        surviving_hw.add_node(node.name, node.memory, node.resources);
-    new_of_orig[node.id.value()] = fresh.value();
-    orig_of_new.push_back(node.id);
-  }
-  for (const graph::Edge& link : hw.interconnect().edges()) {
-    if (link.from >= link.to) continue;  // links are stored both ways
-    if (dead[link.from] || dead[link.to]) continue;
-    surviving_hw.add_link(HwNodeId(new_of_orig[link.from]),
-                          HwNodeId(new_of_orig[link.to]), link.weight);
+    if (!dead[node.id.value()]) orig_of_new.push_back(node.id);
   }
   if (surviving_hw.node_count() == 0) {
     result.log.push_back("no HW node survives: nothing to replan onto");

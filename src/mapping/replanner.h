@@ -88,6 +88,11 @@ struct ReplanResult {
                                    const std::vector<HwNodeId>& failed) const;
 };
 
+/// The platform left when the nodes marked in `dead` (one flag per HW node)
+/// fail: the live nodes, renumbered densely in id order, and every link
+/// between two of them.
+HwGraph surviving_platform(const HwGraph& hw, const std::vector<bool>& dead);
+
 /// Repairs `old_assignment` after the HW nodes in `failed` die. `sw` is the
 /// full replication-expanded SW graph the original plan mapped;
 /// `old_partition` + `old_assignment` locate each replica's host. Never

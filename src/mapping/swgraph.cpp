@@ -1,6 +1,7 @@
 #include "mapping/swgraph.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "common/error.h"
@@ -23,14 +24,16 @@ SwGraph SwGraph::build(const core::FcmHierarchy& hierarchy,
                        const std::vector<FcmId>& processes,
                        const core::ImportanceWeights& weights) {
   SwGraph sw;
-  // First pass: create replica nodes per process.
-  std::vector<std::vector<graph::NodeIndex>> replicas_of(processes.size());
+  // First pass: create replica nodes per process; process p's replicas are
+  // the consecutive nodes [first[p], first[p + 1]).
+  std::vector<graph::NodeIndex> first(processes.size() + 1, 0);
   for (std::size_t p = 0; p < processes.size(); ++p) {
     const core::Fcm& fcm = hierarchy.get(processes[p]);
     FCM_REQUIRE(fcm.level == core::Level::kProcess,
                 "SW allocation graph is built over process-level FCMs");
     const int degree = fcm.attributes.replication;
     FCM_REQUIRE(degree >= 1, "replication degree must be at least 1");
+    first[p] = static_cast<graph::NodeIndex>(sw.nodes_.size());
     for (int r = 0; r < degree; ++r) {
       SwNode node;
       node.id = SwNodeId(static_cast<std::uint32_t>(sw.nodes_.size()));
@@ -39,30 +42,58 @@ SwGraph SwGraph::build(const core::FcmHierarchy& hierarchy,
       node.replica_index = r;
       node.attributes = fcm.attributes;
       node.importance = core::importance(fcm.attributes, weights);
-      replicas_of[p].push_back(sw.graph_.add_node(node.name));
+      sw.graph_.add_node(node.name);
       sw.nodes_.push_back(std::move(node));
     }
   }
+  first[processes.size()] = static_cast<graph::NodeIndex>(sw.nodes_.size());
+
   // Influence edges, replicated across every (source replica, target
-  // replica) pair.
-  for (std::size_t from = 0; from < processes.size(); ++from) {
-    for (std::size_t to = 0; to < processes.size(); ++to) {
-      if (from == to) continue;
-      const Probability p =
-          influence.influence(processes[from], processes[to]);
-      if (p == Probability::zero()) continue;
-      for (const graph::NodeIndex a : replicas_of[from]) {
-        for (const graph::NodeIndex b : replicas_of[to]) {
-          sw.graph_.add_edge(a, b, p.value());
+  // replica) pair, in ascending (source, target) process order. A lone
+  // process has no pairs, so it need not be a member of the model.
+  if (processes.size() > 1) {
+    constexpr std::size_t kUnlisted = SIZE_MAX;
+    std::vector<std::size_t> position(influence.member_count(), kUnlisted);
+    for (std::size_t p = 0; p < processes.size(); ++p) {
+      std::size_t& at = position[influence.index_of(processes[p])];
+      FCM_REQUIRE(at == kUnlisted, "process " +
+                                       hierarchy.get(processes[p]).name +
+                                       " is listed twice");
+      at = p;
+    }
+    struct Pair {
+      std::size_t from;
+      std::size_t to;
+      double weight;
+    };
+    std::vector<Pair> pairs;
+    influence.for_each_pair([&](std::size_t from, std::size_t to,
+                                Probability p,
+                                const std::vector<core::InfluenceFactor>&) {
+      if (p == Probability::zero()) return;
+      if (position[from] == kUnlisted || position[to] == kUnlisted) return;
+      pairs.push_back(Pair{position[from], position[to], p.value()});
+    });
+    // The walk ascends in member order; a process list in another order
+    // needs the sort to ascend in process order.
+    std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
+      return a.from != b.from ? a.from < b.from : a.to < b.to;
+    });
+    for (const Pair& pair : pairs) {
+      for (graph::NodeIndex a = first[pair.from]; a < first[pair.from + 1];
+           ++a) {
+        for (graph::NodeIndex b = first[pair.to]; b < first[pair.to + 1];
+             ++b) {
+          sw.graph_.add_edge(a, b, pair.weight);
         }
       }
     }
   }
   // Weight-0 links between replica pairs.
-  for (const auto& group : replicas_of) {
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      for (std::size_t j = i + 1; j < group.size(); ++j) {
-        sw.graph_.add_edge(group[i], group[j], 0.0, "replica");
+  for (std::size_t p = 0; p < processes.size(); ++p) {
+    for (graph::NodeIndex a = first[p]; a < first[p + 1]; ++a) {
+      for (graph::NodeIndex b = a + 1; b < first[p + 1]; ++b) {
+        sw.graph_.add_edge(a, b, 0.0, "replica");
       }
     }
   }

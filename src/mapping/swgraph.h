@@ -37,7 +37,10 @@ class SwGraph {
  public:
   /// Expands `processes` (process-level FCMs in `hierarchy`) into replica
   /// nodes, replicating influence edges across replicas and linking replica
-  /// pairs with weight-0 edges labeled "replica".
+  /// pairs with weight-0 edges labeled "replica". Influence edges come in
+  /// ascending (source, target) process-list order. Throws InvalidArgument
+  /// when a process is listed twice, and NotFound when a list of two or
+  /// more processes names one that is not a member of `influence`.
   static SwGraph build(const core::FcmHierarchy& hierarchy,
                        const core::InfluenceModel& influence,
                        const std::vector<FcmId>& processes,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 
 namespace fcm::core {
@@ -136,6 +139,51 @@ TEST_F(InfluenceModelTest, ToMatrixMatchesInfluence) {
   EXPECT_NEAR(m.at(2, 0), 0.9, 1e-12);
   EXPECT_DOUBLE_EQ(m.at(1, 0), 0.0);
   EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
+}
+
+TEST_F(InfluenceModelTest, PairWalkAscendsAndKeepsZeroPairs) {
+  // Recorded out of order; a zero-valued direct pair is still recorded.
+  model_.set_direct(c_, a_, Probability(0.9));
+  model_.add_factor(b_, a_,
+                    make_factor(FactorKind::kTiming, 1.0, 0.5, 1.0));
+  model_.add_factor(b_, a_,
+                    make_factor(FactorKind::kSharedMemory, 1.0, 0.2, 1.0));
+  model_.set_direct(a_, c_, Probability(0.0));
+  model_.set_direct(a_, b_, Probability(0.3));
+  std::vector<std::pair<std::size_t, std::size_t>> visited;
+  model_.for_each_pair([&](std::size_t from, std::size_t to, Probability p,
+                           const std::vector<InfluenceFactor>& factors) {
+    visited.emplace_back(from, to);
+    EXPECT_EQ(p, model_.influence(model_.member(from), model_.member(to)));
+    EXPECT_EQ(factors.size(),
+              model_.factors(model_.member(from), model_.member(to)).size());
+  });
+  const std::vector<std::pair<std::size_t, std::size_t>> ascending = {
+      {0, 1}, {0, 2}, {1, 0}, {2, 0}};
+  EXPECT_EQ(visited, ascending);
+
+  // to_graph keeps the recorded zero pair as a weight-0 edge, in the same
+  // ascending order, with factor kinds as labels.
+  const graph::Digraph g = model_.to_graph();
+  ASSERT_EQ(g.edge_count(), 4u);
+  for (std::size_t e = 0; e < ascending.size(); ++e) {
+    EXPECT_EQ(g.edges()[e].from, ascending[e].first);
+    EXPECT_EQ(g.edges()[e].to, ascending[e].second);
+  }
+  EXPECT_EQ(g.edge(0, 2).weight, 0.0);
+  EXPECT_EQ(g.edge(1, 0).label, "timing,shared-memory");
+  EXPECT_EQ(g.edge(0, 1).label, "");
+
+  // to_matrix equals a lookup per ordered member pair.
+  const graph::Matrix m = model_.to_matrix();
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(m.at(i, j),
+                i == j ? 0.0
+                       : model_.influence(model_.member(i), model_.member(j))
+                             .value());
+    }
+  }
 }
 
 TEST_F(InfluenceModelTest, AddMemberIdempotent) {

@@ -186,5 +186,35 @@ TEST(SwGraph, RejectsNonProcessFcms) {
   EXPECT_THROW(SwGraph::build(h, influence, {task}), InvalidArgument);
 }
 
+TEST(SwGraph, RejectsAProcessListedTwice) {
+  // Listing a process twice used to build two replica groups with one
+  // origin, so replicas() paired the copies as if they were replicas.
+  const Instance instance = make_instance();
+  std::vector<FcmId> processes = instance.processes;
+  processes.push_back(processes[2]);
+  EXPECT_THROW(
+      SwGraph::build(instance.hierarchy, instance.influence, processes),
+      InvalidArgument);
+  EXPECT_THROW(SwGraph::build(instance.hierarchy, instance.influence,
+                              {processes[0], processes[0]}),
+               InvalidArgument);
+}
+
+TEST(SwGraph, ProcessOutsideTheModelIsNotFound) {
+  const Instance instance = make_instance();
+  core::FcmHierarchy h = instance.hierarchy;
+  const FcmId stranger = h.create("stranger", core::Level::kProcess);
+  // With two or more processes every one must be a model member; a lone
+  // process has no influence pairs to look up.
+  EXPECT_THROW(SwGraph::build(h, instance.influence,
+                              {instance.processes[0], stranger}),
+               NotFound);
+  EXPECT_THROW(SwGraph::build(h, instance.influence,
+                              {stranger, instance.processes[0]}),
+               NotFound);
+  EXPECT_EQ(SwGraph::build(h, instance.influence, {stranger}).node_count(),
+            1u);
+}
+
 }  // namespace
 }  // namespace fcm::mapping

@@ -5,7 +5,8 @@
 #   tools/check.sh [address undefined ...]
 # With no arguments, runs address and undefined. Exits nonzero on the first
 # failing build or test run. Build dirs are kept (build-asan/, build-ubsan/,
-# build-tsan/) so incremental re-runs are cheap.
+# build-tsan/) so incremental re-runs are cheap. UBSan is built with
+# -fno-sanitize-recover, so any undefined-behaviour report fails the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
