@@ -27,6 +27,7 @@ void print_reproduction() {
   Setup setup;
   ClusteringOptions options;
   options.target_clusters = setup.hw.node_count();
+  options.log_steps = true;  // the figure prints the steps
   ClusterEngine engine(setup.sw, options);
   const ClusteringResult result = engine.timing_ordered();
 

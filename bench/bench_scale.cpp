@@ -125,6 +125,7 @@ PhaseRow measure(std::size_t processes) {
   ClusteringOptions copts;
   copts.target_clusters = hw_nodes;
   copts.enforce_schedulability = false;
+  copts.log_steps = true;  // the identity check compares the step logs
   ClusteringResult scan_result, heap_result;
   copts.use_pair_heap = false;
   row.h1_scan_seconds = phase_seconds(reps, [&] {
@@ -174,6 +175,7 @@ QuotientStats measure_quotient_drop(std::size_t processes) {
   copts.target_clusters = std::max<std::size_t>(4, processes / 3);
   copts.enforce_schedulability = false;
   copts.use_pair_heap = true;
+  copts.log_steps = true;  // the identity check compares the step logs
 
   ClusteringResult results[2];
   obs::MetricsSnapshot snapshots[2];
@@ -266,7 +268,6 @@ ScaleRow measure_scale(std::size_t processes) {
   copts.target_clusters = std::max<std::size_t>(4, processes / 3);
   copts.enforce_schedulability = false;
   copts.use_pair_heap = true;
-  copts.log_steps = false;
   copts.threads = 1;
   ClusteringResult hier;
   mark = alloc.allocations.load();
@@ -539,7 +540,6 @@ void BM_H1Hierarchical(benchmark::State& state) {
     ClusteringOptions options;
     options.target_clusters = std::max<std::size_t>(4, n / 3);
     options.enforce_schedulability = false;
-    options.log_steps = false;
     options.threads = 1;
     ClusterEngine engine(sw, options);
     try {

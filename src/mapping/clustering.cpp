@@ -18,6 +18,8 @@ namespace fcm::mapping {
 
 namespace {
 
+constexpr graph::NodeIndex kNoNode = ~graph::NodeIndex{0};
+
 std::string join_names(const SwGraph& sw,
                        const std::vector<graph::NodeIndex>& members) {
   std::string out;
@@ -27,6 +29,110 @@ std::string join_names(const SwGraph& sw,
   }
   return out;
 }
+
+/// The dense partition in which node v's cluster is represented by
+/// `rep_of[v]`, the cluster's smallest member. Cluster indices ascend with
+/// representatives — the numbering any sequence of Partition::merge calls
+/// from the identity produces — so composing a partition this way equals
+/// merging it together member by member.
+graph::Partition partition_from_reps(
+    const std::vector<graph::NodeIndex>& rep_of) {
+  graph::Partition partition;
+  partition.cluster_of.resize(rep_of.size());
+  for (std::size_t v = 0; v < rep_of.size(); ++v) {
+    partition.cluster_of[v] = rep_of[v] == v
+                                  ? partition.cluster_count++
+                                  : partition.cluster_of[rep_of[v]];
+  }
+  return partition;
+}
+
+/// partition_from_reps over explicit member lists; nodes in no list stay
+/// singletons.
+graph::Partition partition_from_groups(
+    std::size_t node_count,
+    const std::vector<std::vector<graph::NodeIndex>>& groups) {
+  std::vector<graph::NodeIndex> rep_of(node_count);
+  for (std::size_t v = 0; v < node_count; ++v) {
+    rep_of[v] = static_cast<graph::NodeIndex>(v);
+  }
+  for (const auto& group : groups) {
+    if (group.empty()) continue;
+    const graph::NodeIndex rep = *std::min_element(group.begin(), group.end());
+    for (const graph::NodeIndex v : group) rep_of[v] = rep;
+  }
+  return partition_from_reps(rep_of);
+}
+
+/// The live clusters of one greedy merge run, as per-representative state
+/// in flat vectors indexed by node. A cluster's representative is its
+/// smallest member, which is stable under merging (the union keeps the
+/// smaller one); a node that represents no live cluster has no members. A
+/// merge costs O(size of the two clusters), and the dense Partition is
+/// written once, when the run ends.
+class LiveClusters {
+ public:
+  explicit LiveClusters(const graph::Partition& partition)
+      : members_(partition.cluster_of.size()),
+        version_(partition.cluster_of.size(), 0),
+        count_(partition.cluster_count) {
+    std::vector<graph::NodeIndex> rep(partition.cluster_count, kNoNode);
+    for (std::size_t v = 0; v < members_.size(); ++v) {
+      graph::NodeIndex& r = rep[partition.cluster_of[v]];
+      if (r == kNoNode) r = static_cast<graph::NodeIndex>(v);
+      members_[r].push_back(static_cast<graph::NodeIndex>(v));
+    }
+  }
+
+  [[nodiscard]] std::size_t node_count() const { return members_.size(); }
+  [[nodiscard]] std::uint32_t count() const { return count_; }
+  [[nodiscard]] bool alive(graph::NodeIndex rep) const {
+    return !members_[rep].empty();
+  }
+  /// Ascending members of the cluster `rep` represents.
+  [[nodiscard]] const std::vector<graph::NodeIndex>& members(
+      graph::NodeIndex rep) const {
+    return members_[rep];
+  }
+  /// Bumped whenever the cluster's membership changes, including when it
+  /// is merged away, so a candidate pair recorded earlier reads as stale.
+  [[nodiscard]] std::uint64_t version(graph::NodeIndex rep) const {
+    return version_[rep];
+  }
+
+  /// Folds cluster `drop` into cluster `keep` (keep < drop).
+  void merge(graph::NodeIndex keep, graph::NodeIndex drop) {
+    scratch_.clear();
+    std::merge(members_[keep].begin(), members_[keep].end(),
+               members_[drop].begin(), members_[drop].end(),
+               std::back_inserter(scratch_));
+    members_[keep].swap(scratch_);
+    members_[drop].clear();
+    ++version_[keep];
+    ++version_[drop];
+    --count_;
+  }
+
+  /// The dense partition, clusters numbered by ascending representative.
+  [[nodiscard]] graph::Partition partition() const {
+    graph::Partition partition;
+    partition.cluster_of.resize(members_.size());
+    for (const std::vector<graph::NodeIndex>& members : members_) {
+      if (members.empty()) continue;
+      for (const graph::NodeIndex v : members) {
+        partition.cluster_of[v] = partition.cluster_count;
+      }
+      ++partition.cluster_count;
+    }
+    return partition;
+  }
+
+ private:
+  std::vector<std::vector<graph::NodeIndex>> members_;
+  std::vector<std::uint64_t> version_;
+  std::vector<graph::NodeIndex> scratch_;
+  std::uint32_t count_;
+};
 
 }  // namespace
 
@@ -39,8 +145,8 @@ void ClusterEngine::QuotientCache::reset(const SwGraph& sw,
   stats_.invalidations += combined_.size();
   FCM_OBS_COUNT("quotient_cache.invalidations", combined_.size());
   combined_.clear();
-  memo_keys_by_rep_.clear();
-  adjacency_.clear();
+  memo_keys_by_rep_.assign(partition.cluster_of.size(), {});
+  adjacency_.assign(partition.cluster_of.size(), {});
   bundle_pool_.clear();
   // Representative of each cluster: its smallest member node index.
   std::vector<graph::NodeIndex> rep(partition.cluster_count,
@@ -67,7 +173,7 @@ void ClusterEngine::QuotientCache::reset(const SwGraph& sw,
     adjacency_[rep[cb]].push_back(rep[ca]);
   }
   // Edge iteration order already leaves each bundle ascending.
-  for (auto& [r, adj] : adjacency_) {
+  for (auto& adj : adjacency_) {
     std::sort(adj.begin(), adj.end());
     adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
   }
@@ -76,8 +182,7 @@ void ClusterEngine::QuotientCache::reset(const SwGraph& sw,
 const std::vector<graph::NodeIndex>& ClusterEngine::QuotientCache::neighbors(
     graph::NodeIndex rep) const {
   static const std::vector<graph::NodeIndex> kEmpty;
-  const auto it = adjacency_.find(rep);
-  return it == adjacency_.end() ? kEmpty : it->second;
+  return rep < adjacency_.size() ? adjacency_[rep] : kEmpty;
 }
 
 void ClusterEngine::QuotientCache::recycle(std::vector<std::uint32_t>&& bundle) {
@@ -148,14 +253,13 @@ void ClusterEngine::QuotientCache::merge(graph::NodeIndex rep_a,
   // reps' key lists cover exactly the entries a full memo scan would find;
   // keys already invalidated through the other endpoint erase as no-ops.
   for (const graph::NodeIndex rep : {rep_a, rep_b}) {
-    const auto keys = memo_keys_by_rep_.find(rep);
-    if (keys == memo_keys_by_rep_.end()) continue;
-    for (const std::uint64_t key : keys->second) {
+    std::vector<std::uint64_t>& keys = memo_keys_by_rep_[rep];
+    for (const std::uint64_t key : keys) {
       const std::size_t erased = combined_.erase(key);
       stats_.invalidations += erased;
       FCM_OBS_COUNT("quotient_cache.invalidations", erased);
     }
-    memo_keys_by_rep_.erase(keys);
+    keys.clear();
   }
 }
 
@@ -258,17 +362,10 @@ void ClusterEngine::QuotientCache::merge_incremental(graph::NodeIndex rep_a,
 
 void ClusterEngine::QuotientCache::update_adjacency_after_merge(
     graph::NodeIndex rep_a, graph::NodeIndex rep_b, graph::NodeIndex merged) {
-  std::vector<graph::NodeIndex> adj_a, adj_b;
-  if (const auto it = adjacency_.find(rep_a); it != adjacency_.end()) {
-    adj_a = std::move(it->second);
-    adjacency_.erase(it);
-  }
-  if (const auto it = adjacency_.find(rep_b); it != adjacency_.end()) {
-    adj_b = std::move(it->second);
-    adjacency_.erase(it);
-  }
-  std::vector<graph::NodeIndex> merged_adj;
-  merged_adj.reserve(adj_a.size() + adj_b.size());
+  const std::vector<graph::NodeIndex>& adj_a = adjacency_[rep_a];
+  const std::vector<graph::NodeIndex>& adj_b = adjacency_[rep_b];
+  std::vector<graph::NodeIndex>& merged_adj = adjacency_scratch_;
+  merged_adj.clear();
   std::merge(adj_a.begin(), adj_a.end(), adj_b.begin(), adj_b.end(),
              std::back_inserter(merged_adj));
   merged_adj.erase(std::unique(merged_adj.begin(), merged_adj.end()),
@@ -287,7 +384,9 @@ void ClusterEngine::QuotientCache::update_adjacency_after_merge(
     const auto put = std::lower_bound(adj.begin(), adj.end(), merged);
     if (put == adj.end() || *put != merged) adj.insert(put, merged);
   }
-  if (!merged_adj.empty()) adjacency_[merged] = std::move(merged_adj);
+  adjacency_[other].clear();
+  // The merged list moves in; the scratch keeps the retired buffer.
+  adjacency_[merged].swap(merged_adj);
 }
 
 std::vector<std::vector<std::string>> ClusteringResult::cluster_names(
@@ -308,15 +407,38 @@ ClusterEngine::ClusterEngine(const SwGraph& sw, ClusteringOptions options)
     : sw_(&sw), options_(options), oracle_(options.policy) {
   FCM_REQUIRE(options_.target_clusters >= 1,
               "target cluster count must be positive");
-  // Replicas of one process need that many distinct clusters.
-  std::map<FcmId, int> degree;
-  for (const SwNode& n : sw.nodes()) {
-    degree[n.origin] = std::max(degree[n.origin], n.replica_index + 1);
+  // Each node's origin gets a dense slot for the replica test, and its
+  // timing a cached job for the schedulability test.
+  const std::size_t n = sw.node_count();
+  std::map<FcmId, std::uint32_t> slot_of;
+  std::vector<int> degree;
+  origin_slot_.reserve(n);
+  node_job_.resize(n);
+  timing_kind_.resize(n, TimingKind::kNone);
+  for (std::size_t v = 0; v < n; ++v) {
+    const SwNode& node = sw.nodes()[v];
+    const auto [slot, fresh] = slot_of.emplace(
+        node.origin, static_cast<std::uint32_t>(slot_of.size()));
+    if (fresh) degree.push_back(0);
+    origin_slot_.push_back(slot->second);
+    degree[slot->second] =
+        std::max(degree[slot->second], node.replica_index + 1);
+    if (!node.attributes.timing.has_value()) continue;
+    const core::TimingSpec& timing = *node.attributes.timing;
+    if (timing.is_periodic()) {
+      timing_kind_[v] = TimingKind::kPeriodic;
+    } else {
+      timing_kind_[v] = TimingKind::kOneShot;
+      node_job_[v] = timing.to_job(JobId(static_cast<std::uint32_t>(v)),
+                                   node.name);
+    }
   }
-  for (const auto& [origin, count] : degree) {
+  origin_stamp_.assign(slot_of.size(), 0);
+  // Replicas of one process need that many distinct clusters.
+  for (const auto& [origin, slot] : slot_of) {
     FCM_REQUIRE(
-        options_.target_clusters >= static_cast<std::size_t>(count),
-        "replication degree " + std::to_string(count) +
+        options_.target_clusters >= static_cast<std::size_t>(degree[slot]),
+        "replication degree " + std::to_string(degree[slot]) +
             " exceeds the target cluster count (" +
             std::to_string(options_.target_clusters) +
             "): replicas must map to distinct HW nodes");
@@ -324,38 +446,55 @@ ClusterEngine::ClusterEngine(const SwGraph& sw, ClusteringOptions options)
 }
 
 bool ClusterEngine::members_schedulable(
-    const std::vector<graph::NodeIndex>& members) {
-  std::vector<sched::Job> jobs;
-  std::vector<sched::PeriodicTask> periodic;
-  for (const graph::NodeIndex v : members) {
-    const SwNode& node = sw_->node(v);
-    if (!node.attributes.timing.has_value()) continue;
-    const core::TimingSpec& timing = *node.attributes.timing;
-    if (timing.is_periodic()) {
-      periodic.push_back(timing.to_periodic_task(node.name));
-    } else {
-      jobs.push_back(timing.to_job(JobId(v), node.name));
+    std::span<const graph::NodeIndex> a, std::span<const graph::NodeIndex> b) {
+  jobs_scratch_.clear();
+  periodic_scratch_.clear();
+  const auto collect = [&](graph::NodeIndex v) {
+    if (timing_kind_[v] == TimingKind::kOneShot) {
+      jobs_scratch_.push_back(node_job_[v]);
+    } else if (timing_kind_[v] == TimingKind::kPeriodic) {
+      const SwNode& node = sw_->node(v);
+      periodic_scratch_.push_back(
+          node.attributes.timing->to_periodic_task(node.name));
     }
-  }
-  if (periodic.empty()) return oracle_.feasible(jobs);
-  return sched::mixed_feasible(jobs, periodic);
+  };
+  for (const graph::NodeIndex v : a) collect(v);
+  for (const graph::NodeIndex v : b) collect(v);
+  if (periodic_scratch_.empty()) return oracle_.feasible(jobs_scratch_);
+  return sched::mixed_feasible(jobs_scratch_, periodic_scratch_);
 }
 
 bool ClusterEngine::resources_hostable(
-    const std::vector<graph::NodeIndex>& members) const {
+    std::span<const graph::NodeIndex> a,
+    std::span<const graph::NodeIndex> b) const {
+  if (!options_.resource_check) return true;
   std::set<std::string> combined;
-  for (const graph::NodeIndex v : members) {
+  const auto collect = [&](graph::NodeIndex v) {
     const auto& req = sw_->node(v).attributes.required_resources;
     combined.insert(req.begin(), req.end());
-  }
+  };
+  for (const graph::NodeIndex v : a) collect(v);
+  for (const graph::NodeIndex v : b) collect(v);
   return combined.empty() || options_.resource_check(combined);
+}
+
+bool ClusterEngine::combinable(std::span<const graph::NodeIndex> a,
+                               std::span<const graph::NodeIndex> b) {
+  // Replica anti-affinity across the union: stamp a's origins, probe b's.
+  ++stamp_;
+  for (const graph::NodeIndex v : a) origin_stamp_[origin_slot_[v]] = stamp_;
+  for (const graph::NodeIndex v : b) {
+    if (origin_stamp_[origin_slot_[v]] == stamp_) return false;
+  }
+  if (!resources_hostable(a, b)) return false;
+  if (!options_.enforce_schedulability) return true;
+  return members_schedulable(a, b);
 }
 
 bool ClusterEngine::can_combine(const graph::Partition& partition,
                                 std::uint32_t cluster_a,
                                 std::uint32_t cluster_b) {
   if (cluster_a == cluster_b) return false;
-  // Replica anti-affinity across the union.
   std::vector<graph::NodeIndex> a_members, b_members;
   for (std::size_t v = 0; v < partition.cluster_of.size(); ++v) {
     if (partition.cluster_of[v] == cluster_a) {
@@ -364,27 +503,7 @@ bool ClusterEngine::can_combine(const graph::Partition& partition,
       b_members.push_back(static_cast<graph::NodeIndex>(v));
     }
   }
-  for (const graph::NodeIndex a : a_members) {
-    for (const graph::NodeIndex b : b_members) {
-      if (sw_->replicas(a, b)) return false;
-    }
-  }
-  if (options_.resource_check) {
-    std::set<std::string> combined;
-    for (const graph::NodeIndex v : a_members) {
-      const auto& req = sw_->node(v).attributes.required_resources;
-      combined.insert(req.begin(), req.end());
-    }
-    for (const graph::NodeIndex v : b_members) {
-      const auto& req = sw_->node(v).attributes.required_resources;
-      combined.insert(req.begin(), req.end());
-    }
-    if (!combined.empty() && !options_.resource_check(combined)) return false;
-  }
-  if (!options_.enforce_schedulability) return true;
-  std::vector<graph::NodeIndex> all = a_members;
-  all.insert(all.end(), b_members.begin(), b_members.end());
-  return members_schedulable(all);
+  return combinable(a_members, b_members);
 }
 
 graph::Digraph ClusterEngine::influence_quotient(
@@ -515,10 +634,12 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
                                       std::vector<std::string>& steps,
                                       GreedyStepStyle style) {
   // Lazy-deletion max-heap over candidate cluster pairs, keyed by mutual
-  // influence. Clusters are identified by their representative (smallest
-  // member node index) — stable under merging — plus a version stamp bumped
-  // whenever the cluster's membership changes, so superseded entries are
-  // recognized and dropped on pop instead of being searched for.
+  // influence. Clusters live as per-representative state (LiveClusters):
+  // the representative (smallest member node index) is stable under
+  // merging, and a version stamp bumped whenever the cluster's membership
+  // changes lets superseded entries be recognized and dropped on pop
+  // instead of being searched for. Every step costs O(size of the two
+  // clusters it touches); the dense partition is written once at the end.
   //
   // Selection equivalence with the scan: cluster indices are ordered by
   // smallest member (Partition::merge keeps the lower index and shifts the
@@ -527,7 +648,9 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
   // fails can_combine is discarded for good because combinability depends
   // only on the two clusters' members, and any later membership change
   // reinserts the pair with fresh stamps.
-  const bool memo = options_.use_influence_cache;
+  //
+  // Each pair's mutual influence is asked for once, so the heap reads the
+  // bundles directly instead of filling a memo it would never hit.
   const bool incremental = options_.incremental_quotient;
   FCM_OBS_SPAN("h1.greedy_merge");
   // Local tallies flushed once at the end: the merge loop is sequential, so
@@ -547,12 +670,11 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
     return x.rep_b > y.rep_b;
   };
 
-  std::unordered_map<graph::NodeIndex, std::uint64_t> version;
-  std::vector<graph::NodeIndex> reps;
-  for (const auto& members : partition.groups()) {
-    reps.push_back(members.front());
-    version.emplace(members.front(), 0);
-  }
+  LiveClusters clusters(partition);
+  const auto n = static_cast<graph::NodeIndex>(clusters.node_count());
+  const auto mutual = [&](graph::NodeIndex lo, graph::NodeIndex hi) {
+    return quotient_cache_.mutual(lo, hi, /*memoize=*/false);
+  };
   // Last known exact mutual value per live positive pair, keyed
   // (lo << 32 | hi) by representatives (incremental mode only). When a
   // merge leaves a neighbor's edge bundle untouched — the neighbor was
@@ -570,10 +692,11 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
     // positive combined influence — every other pair is exactly 0.0 and is
     // reached through the zero-mutual fallback below once the heap drains.
     // At scale this is O(edges) candidates instead of O(clusters²).
-    for (const graph::NodeIndex a : reps) {
+    for (graph::NodeIndex a = 0; a < n; ++a) {
+      if (!clusters.alive(a)) continue;
       for (const graph::NodeIndex b : quotient_cache_.neighbors(a)) {
         if (b <= a) continue;
-        const double m = quotient_cache_.mutual(a, b, memo);
+        const double m = mutual(a, b);
         if (m > 0.0) {
           heap.push_back({m, a, b, 0, 0});
           pair_value.emplace(pair_key(a, b), m);
@@ -581,11 +704,11 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
       }
     }
   } else {
-    heap.reserve(reps.size() * (reps.size() - 1) / 2);
-    for (std::size_t a = 0; a < reps.size(); ++a) {
-      for (std::size_t b = a + 1; b < reps.size(); ++b) {
-        heap.push_back({quotient_cache_.mutual(reps[a], reps[b], memo),
-                        reps[a], reps[b], 0, 0});
+    heap.reserve(std::size_t{clusters.count()} * (clusters.count() - 1) / 2);
+    for (graph::NodeIndex a = 0; a < n; ++a) {
+      if (!clusters.alive(a)) continue;
+      for (graph::NodeIndex b = a + 1; b < n; ++b) {
+        if (clusters.alive(b)) heap.push_back({mutual(a, b), a, b, 0, 0});
       }
     }
   }
@@ -597,11 +720,9 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
   const auto apply_merge = [&](graph::NodeIndex rep_a, graph::NodeIndex rep_b,
                                double mutual_value) {
     if (options_.log_steps) {
-      const auto groups = partition.groups();
       steps.push_back(greedy_step_text(
-          style, join_names(*sw_, groups[partition.cluster_of[rep_a]]),
-          join_names(*sw_, groups[partition.cluster_of[rep_b]]),
-          mutual_value));
+          style, join_names(*sw_, clusters.members(rep_a)),
+          join_names(*sw_, clusters.members(rep_b)), mutual_value));
     }
     if (incremental) {
       // Snapshot both adjacency lists before the cache merge folds them.
@@ -609,10 +730,8 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
       nb_scratch = quotient_cache_.neighbors(rep_b);
     }
     quotient_cache_.merge(rep_a, rep_b);
-    partition.merge(rep_a, rep_b);
     const graph::NodeIndex merged = std::min(rep_a, rep_b);
-    version.erase(std::max(rep_a, rep_b));
-    const std::uint64_t merged_version = ++version[merged];
+    clusters.merge(merged, std::max(rep_a, rep_b));
     // Only pairs touching the merged cluster need fresh influence values.
     if (incremental) {
       // And of those, only its bundle-neighbors can be positive; the
@@ -634,7 +753,7 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
         const graph::NodeIndex hi = std::max(c, merged);
         double m = 0.0;
         if (in_a && in_b) {
-          m = quotient_cache_.mutual(lo, hi, memo);
+          m = mutual(lo, hi);
           ++recomputes;
         } else {
           const auto it = pair_value.find(in_a ? key_a : key_b);
@@ -645,21 +764,17 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
         pair_value.erase(key_b);
         if (m <= 0.0) continue;
         pair_value.emplace(pair_key(lo, hi), m);
-        heap.push_back({m, lo, hi,
-                        lo == merged ? merged_version
-                                     : version.find(lo)->second,
-                        hi == merged ? merged_version
-                                     : version.find(hi)->second});
+        heap.push_back(
+            {m, lo, hi, clusters.version(lo), clusters.version(hi)});
         std::push_heap(heap.begin(), heap.end(), worse);
       }
     } else {
-      for (const auto& [rep, ver] : version) {
-        if (rep == merged) continue;
+      for (graph::NodeIndex rep = 0; rep < n; ++rep) {
+        if (rep == merged || !clusters.alive(rep)) continue;
         const graph::NodeIndex lo = std::min(rep, merged);
         const graph::NodeIndex hi = std::max(rep, merged);
-        heap.push_back({quotient_cache_.mutual(lo, hi, memo), lo, hi,
-                        lo == merged ? merged_version : ver,
-                        hi == merged ? merged_version : ver});
+        heap.push_back({mutual(lo, hi), lo, hi, clusters.version(lo),
+                        clusters.version(hi)});
         std::push_heap(heap.begin(), heap.end(), worse);
         ++recomputes;
       }
@@ -672,17 +787,18 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
   // popped pair that failed can_combine stays uncombinable until one of
   // its clusters changes, which re-inserts it). The scan reference would
   // pick the first combinable pair in ascending cluster-index order —
-  // cluster indices are ordered by representative, so scanning sorted live
-  // representatives reproduces that choice.
+  // cluster indices are ordered by representative, so scanning live
+  // representatives in ascending order reproduces that choice.
+  std::vector<graph::NodeIndex> live;
   const auto zero_mutual_fallback = [&]() {
-    std::vector<graph::NodeIndex> live;
-    live.reserve(version.size());
-    for (const auto& [rep, ver] : version) live.push_back(rep);
-    std::sort(live.begin(), live.end());
+    live.clear();
+    for (graph::NodeIndex rep = 0; rep < n; ++rep) {
+      if (clusters.alive(rep)) live.push_back(rep);
+    }
     for (std::size_t i = 0; i < live.size(); ++i) {
       for (std::size_t j = i + 1; j < live.size(); ++j) {
-        if (!can_combine(partition, partition.cluster_of[live[i]],
-                         partition.cluster_of[live[j]])) {
+        if (!combinable(clusters.members(live[i]),
+                        clusters.members(live[j]))) {
           continue;
         }
         apply_merge(live[i], live[j], 0.0);
@@ -693,30 +809,33 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
     return false;
   };
 
-  while (partition.cluster_count > options_.target_clusters) {
+  while (clusters.count() > options_.target_clusters) {
     bool merged_one = false;
     while (!heap.empty()) {
       std::pop_heap(heap.begin(), heap.end(), worse);
       const Candidate cand = heap.back();
       heap.pop_back();
       ++pops;
-      const auto va = version.find(cand.rep_a);
-      const auto vb = version.find(cand.rep_b);
-      if (va == version.end() || vb == version.end() ||
-          va->second != cand.ver_a || vb->second != cand.ver_b) {
+      if (clusters.version(cand.rep_a) != cand.ver_a ||
+          clusters.version(cand.rep_b) != cand.ver_b) {
         ++stale_pops;
         continue;  // stale: a membership change superseded this entry
       }
-      const std::uint32_t cluster_a = partition.cluster_of[cand.rep_a];
-      const std::uint32_t cluster_b = partition.cluster_of[cand.rep_b];
-      if (!can_combine(partition, cluster_a, cluster_b)) continue;
+      if (!combinable(clusters.members(cand.rep_a),
+                      clusters.members(cand.rep_b))) {
+        continue;
+      }
       apply_merge(cand.rep_a, cand.rep_b, cand.mutual);
       merged_one = true;
       break;
     }
     if (!merged_one && incremental) merged_one = zero_mutual_fallback();
-    if (!merged_one) throw_no_combinable_pair(partition, style);
+    if (!merged_one) {
+      partition = clusters.partition();
+      throw_no_combinable_pair(partition, style);
+    }
   }
+  partition = clusters.partition();
   FCM_OBS_COUNT("h1.heap.pops", pops);
   FCM_OBS_COUNT("h1.heap.stale_pops", stale_pops);
   FCM_OBS_COUNT("h1.heap.recomputes", recomputes);
@@ -764,11 +883,14 @@ ClusteringResult ClusterEngine::h1_rounds() {
       if (!can_combine(partition, p.a, p.b)) continue;
       taken[p.a] = taken[p.b] = true;
       selected.emplace_back(p.a, p.b);
-      std::ostringstream step;
-      step << "round " << round << ": pair " << join_names(*sw_, groups[p.a])
-           << " + " << join_names(*sw_, groups[p.b]) << " (mutual influence "
-           << p.m << ")";
-      steps.push_back(step.str());
+      if (options_.log_steps) {
+        std::ostringstream step;
+        step << "round " << round << ": pair "
+             << join_names(*sw_, groups[p.a]) << " + "
+             << join_names(*sw_, groups[p.b]) << " (mutual influence " << p.m
+             << ")";
+        steps.push_back(step.str());
+      }
     }
     if (selected.empty()) {
       throw Infeasible("H1-rounds: no combinable pair in round " +
@@ -803,21 +925,45 @@ ClusterEngine::partition_for_hierarchy(std::size_t parts_wanted) const {
 
   std::vector<char> in_part(n, 0);
   std::vector<char> visited(n, 0);
+  // Positive-weight neighbors of each node in either direction (replica
+  // links carry weight 0 and are ignored), ascending and duplicate-free:
+  // node u's list is adjacent[offset[u] .. offset[u + 1]). Built on the
+  // first BFS split.
+  std::vector<std::size_t> offset;
+  std::vector<graph::NodeIndex> adjacent;
+  const auto build_adjacency = [&] {
+    std::vector<std::pair<graph::NodeIndex, graph::NodeIndex>> links;
+    links.reserve(2 * g.edge_count());
+    for (const graph::Edge& edge : g.edges()) {
+      if (edge.weight <= 0.0) continue;
+      links.emplace_back(edge.from, edge.to);
+      links.emplace_back(edge.to, edge.from);
+    }
+    std::sort(links.begin(), links.end());
+    links.erase(std::unique(links.begin(), links.end()), links.end());
+    offset.assign(n + 1, 0);
+    adjacent.reserve(links.size());
+    for (const auto& [from, to] : links) {
+      ++offset[from + 1];
+      adjacent.push_back(to);
+    }
+    for (std::size_t v = 0; v < n; ++v) offset[v + 1] += offset[v];
+  };
 
   // Splits `part` at the midpoint of a BFS order over the positive-weight
-  // influence edges (replica links carry weight 0 and are ignored), so each
-  // half keeps influence locality. Deterministic: BFS seeds are the part's
-  // ascending unvisited nodes and neighbors enqueue in ascending index.
+  // influence edges, so each half keeps influence locality. Deterministic:
+  // BFS seeds are the part's ascending unvisited nodes and neighbors
+  // enqueue in ascending index.
   const auto bfs_halves = [&](const std::vector<graph::NodeIndex>& part,
                               std::vector<graph::NodeIndex>& first,
                               std::vector<graph::NodeIndex>& second) {
+    if (offset.empty()) build_adjacency();
     for (const graph::NodeIndex v : part) {
       in_part[v] = 1;
       visited[v] = 0;
     }
     std::vector<graph::NodeIndex> order;
     order.reserve(part.size());
-    std::vector<graph::NodeIndex> nbrs;
     std::size_t head = 0;
     for (const graph::NodeIndex seed : part) {
       if (visited[seed]) continue;
@@ -825,20 +971,9 @@ ClusterEngine::partition_for_hierarchy(std::size_t parts_wanted) const {
       order.push_back(seed);
       while (head < order.size()) {
         const graph::NodeIndex u = order[head++];
-        nbrs.clear();
-        for (const std::uint32_t e : g.out_edges(u)) {
-          const graph::Edge& edge = g.edges()[e];
-          if (edge.weight > 0.0 && in_part[edge.to]) nbrs.push_back(edge.to);
-        }
-        for (const std::uint32_t e : g.in_edges(u)) {
-          const graph::Edge& edge = g.edges()[e];
-          if (edge.weight > 0.0 && in_part[edge.from]) {
-            nbrs.push_back(edge.from);
-          }
-        }
-        std::sort(nbrs.begin(), nbrs.end());
-        for (const graph::NodeIndex v : nbrs) {
-          if (!visited[v]) {
+        for (std::size_t k = offset[u]; k < offset[u + 1]; ++k) {
+          const graph::NodeIndex v = adjacent[k];
+          if (in_part[v] && !visited[v]) {
             visited[v] = 1;
             order.push_back(v);
           }
@@ -885,15 +1020,15 @@ ClusterEngine::partition_for_hierarchy(std::size_t parts_wanted) const {
 
 ClusteringResult ClusterEngine::h1_hierarchical() {
   const std::size_t n = sw_->node_count();
-  FCM_REQUIRE(options_.target_clusters <= n,
-              "more clusters requested than SW nodes");
   constexpr std::size_t kNodesPerPart = 96;
   const std::size_t parts_wanted =
       options_.hierarchy_parts > 0
           ? options_.hierarchy_parts
           : std::clamp<std::size_t>(n / kNodesPerPart, std::size_t{1},
                                     options_.target_clusters);
-  if (parts_wanted <= 1) return h1_greedy();
+  // At a target of at least the node count H1 performs no merges, so the
+  // spare HW nodes h1_greedy accepts are accepted here too.
+  if (parts_wanted <= 1 || options_.target_clusters >= n) return h1_greedy();
   FCM_OBS_SPAN("h1.hierarchical");
 
   const std::vector<std::vector<graph::NodeIndex>> parts =
@@ -976,8 +1111,10 @@ ClusteringResult ClusterEngine::h1_hierarchical() {
   }
 
   // Compose the global partition and step log in fixed part order, then
-  // H1-merge across parts down to the global target.
-  graph::Partition partition = graph::Partition::identity(n);
+  // H1-merge across parts down to the global target. Parts are ascending,
+  // so a local cluster's first member maps to its global representative.
+  std::vector<graph::NodeIndex> rep_of(n);
+  std::vector<graph::NodeIndex> local_rep;
   std::vector<std::string> steps;
   if (options_.log_steps) {
     std::ostringstream head;
@@ -986,23 +1123,26 @@ ClusteringResult ClusterEngine::h1_hierarchical() {
     steps.push_back(head.str());
   }
   for (std::size_t i = 0; i < parts.size(); ++i) {
-    const auto groups = outcomes[i].partition.groups();
-    for (const auto& members : groups) {
-      for (std::size_t k = 1; k < members.size(); ++k) {
-        partition.merge(parts[i][members[0]], parts[i][members[k]]);
-      }
+    const graph::Partition& local = outcomes[i].partition;
+    local_rep.assign(local.cluster_count, kNoNode);
+    for (std::size_t k = 0; k < parts[i].size(); ++k) {
+      graph::NodeIndex& rep = local_rep[local.cluster_of[k]];
+      if (rep == kNoNode) rep = parts[i][k];
+      rep_of[parts[i][k]] = rep;
     }
     if (options_.log_steps) {
       std::ostringstream summary;
       summary << "part " << (i + 1) << ": " << parts[i].size()
-              << " nodes -> " << groups.size() << " clusters (local target "
-              << outcomes[i].achieved_target << ")";
+              << " nodes -> " << local.cluster_count
+              << " clusters (local target " << outcomes[i].achieved_target
+              << ")";
       steps.push_back(summary.str());
       for (const std::string& s : outcomes[i].steps) {
         steps.push_back("part " + std::to_string(i + 1) + ": " + s);
       }
     }
   }
+  graph::Partition partition = partition_from_reps(rep_of);
   quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
   greedy_merge_to_target(partition, steps, GreedyStepStyle::kCombine);
   return finish(std::move(partition), std::move(steps));
@@ -1047,10 +1187,12 @@ ClusteringResult ClusterEngine::h2_st_cut(
     (cut.on_source_side[v] ? first : second_side).push_back(v);
   }
   std::vector<std::string> steps;
-  std::ostringstream step;
-  step << "s-t cut separating " << sw_->node(*source).name << " from "
-       << sw_->node(*target).name << " (cut weight " << cut.flow << ")";
-  steps.push_back(step.str());
+  if (options_.log_steps) {
+    std::ostringstream step;
+    step << "s-t cut separating " << sw_->node(*source).name << " from "
+         << sw_->node(*target).name << " (cut weight " << cut.flow << ")";
+    steps.push_back(step.str());
+  }
   return h2_driver({std::move(first), std::move(second_side)},
                    std::move(steps));
 }
@@ -1065,7 +1207,7 @@ ClusteringResult ClusterEngine::h2_driver(
         if (sw_->replicas(part[i], part[j])) return false;
       }
     }
-    if (options_.resource_check && !resources_hostable(part)) return false;
+    if (!resources_hostable(part)) return false;
     if (!options_.enforce_schedulability) return true;
     return members_schedulable(part);
   };
@@ -1082,11 +1224,13 @@ ClusteringResult ClusterEngine::h2_driver(
     // Stoer–Wagner, but guard for safety.
     FCM_REQUIRE(!first.empty() && !second.empty(),
                 "min-cut produced a degenerate split");
-    std::ostringstream step;
-    step << "cut {" << join_names(*sw_, part) << "} -> {"
-         << join_names(*sw_, first) << "} | {" << join_names(*sw_, second)
-         << "} (cut weight " << cut.weight << ")";
-    steps.push_back(step.str());
+    if (options_.log_steps) {
+      std::ostringstream step;
+      step << "cut {" << join_names(*sw_, part) << "} -> {"
+           << join_names(*sw_, first) << "} | {" << join_names(*sw_, second)
+           << "} (cut weight " << cut.weight << ")";
+      steps.push_back(step.str());
+    }
     parts[index] = std::move(first);
     parts.push_back(std::move(second));
   };
@@ -1122,12 +1266,7 @@ ClusteringResult ClusterEngine::h2_driver(
   // Build the partition from parts, then re-merge down to target with H1
   // steps if the repair overshot.
   graph::Partition partition =
-      graph::Partition::identity(sw_->node_count());
-  for (const auto& part : parts) {
-    for (std::size_t k = 1; k < part.size(); ++k) {
-      partition.merge(part[0], part[k]);
-    }
-  }
+      partition_from_groups(sw_->node_count(), parts);
   quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
   greedy_merge_to_target(partition, steps, GreedyStepStyle::kRepairMerge);
   return finish(std::move(partition), std::move(steps));
@@ -1154,8 +1293,10 @@ ClusteringResult ClusterEngine::h3_importance(double importance_threshold,
   std::vector<std::string> steps;
   for (std::size_t k = 0; k < options_.target_clusters; ++k) {
     is_seed[order[k]] = true;
-    steps.push_back("seed " + sw_->node(order[k]).name + " (importance " +
-                    std::to_string(sw_->node(order[k]).importance) + ")");
+    if (options_.log_steps) {
+      steps.push_back("seed " + sw_->node(order[k]).name + " (importance " +
+                      std::to_string(sw_->node(order[k]).importance) + ")");
+    }
   }
 
   graph::Partition partition = graph::Partition::identity(n);
@@ -1186,9 +1327,11 @@ ClusteringResult ClusterEngine::h3_importance(double importance_threshold,
       throw Infeasible("H3: node " + sw_->node(v).name +
                        " fits no sphere of influence");
     }
-    steps.push_back("attach " + sw_->node(v).name + " -> {" +
-                    join_names(*sw_, groups[best_cluster]) +
-                    "} (mutual influence " + std::to_string(best) + ")");
+    if (options_.log_steps) {
+      steps.push_back("attach " + sw_->node(v).name + " -> {" +
+                      join_names(*sw_, groups[best_cluster]) +
+                      "} (mutual influence " + std::to_string(best) + ")");
+    }
     quotient_cache_.merge(groups[v_cluster].front(),
                           groups[best_cluster].front());
     partition.merge(v, groups[best_cluster].front());
@@ -1260,9 +1403,11 @@ ClusteringResult ClusterEngine::criticality_pairing() {
       }
       paired[hi] = paired[chosen] = true;
       pairs.emplace_back(hi, chosen);
-      steps.push_back("round " + std::to_string(round) + ": pair " +
-                      join_names(*sw_, groups[list[hi]]) + " + " +
-                      join_names(*sw_, groups[list[chosen]]));
+      if (options_.log_steps) {
+        steps.push_back("round " + std::to_string(round) + ": pair " +
+                        join_names(*sw_, groups[list[hi]]) + " + " +
+                        join_names(*sw_, groups[list[chosen]]));
+      }
     }
 
     // Narrated replicate resolution: if exactly two clusters remain
@@ -1287,13 +1432,15 @@ ClusteringResult ClusterEngine::criticality_pairing() {
           pairs.pop_back();
           pairs.emplace_back(ph, x);
           pairs.emplace_back(y, pl);
-          steps.push_back(
-              "round " + std::to_string(round) + ": conflict between " +
-              join_names(*sw_, groups[list[a]]) + " and " +
-              join_names(*sw_, groups[list[b]]) +
-              " resolved by dissolving pair (" +
-              join_names(*sw_, groups[list[ph]]) + "," +
-              join_names(*sw_, groups[list[pl]]) + ")");
+          if (options_.log_steps) {
+            steps.push_back(
+                "round " + std::to_string(round) + ": conflict between " +
+                join_names(*sw_, groups[list[a]]) + " and " +
+                join_names(*sw_, groups[list[b]]) +
+                " resolved by dissolving pair (" +
+                join_names(*sw_, groups[list[ph]]) + "," +
+                join_names(*sw_, groups[list[pl]]) + ")");
+          }
           return true;
         }
         return false;
@@ -1363,28 +1510,16 @@ ClusteringResult ClusterEngine::timing_ordered(OrderKey key,
 
   std::vector<std::vector<graph::NodeIndex>> bins;
   std::vector<std::string> steps;
-  auto fits = [&](const std::vector<graph::NodeIndex>& bin,
-                  graph::NodeIndex v) {
-    if (bin.size() >= cap) return false;
-    for (const graph::NodeIndex m : bin) {
-      if (sw_->replicas(m, v)) return false;
-    }
-    std::vector<graph::NodeIndex> combined = bin;
-    combined.push_back(v);
-    if (options_.resource_check && !resources_hostable(combined)) {
-      return false;
-    }
-    if (!options_.enforce_schedulability) return true;
-    return members_schedulable(combined);
-  };
-
   for (const graph::NodeIndex v : order) {
     bool placed = false;
     for (std::size_t b = 0; b < bins.size(); ++b) {
-      if (fits(bins[b], v)) {
+      if (bins[b].size() < cap &&
+          combinable(bins[b], {&v, 1})) {
         bins[b].push_back(v);
-        steps.push_back("place " + sw_->node(v).name + " -> bin " +
-                        std::to_string(b + 1));
+        if (options_.log_steps) {
+          steps.push_back("place " + sw_->node(v).name + " -> bin " +
+                          std::to_string(b + 1));
+        }
         placed = true;
         break;
       }
@@ -1395,18 +1530,13 @@ ClusteringResult ClusterEngine::timing_ordered(OrderKey key,
                          " fits no bin and the bin budget is exhausted");
       }
       bins.push_back({v});
-      steps.push_back("open bin " + std::to_string(bins.size()) + " with " +
-                      sw_->node(v).name);
+      if (options_.log_steps) {
+        steps.push_back("open bin " + std::to_string(bins.size()) + " with " +
+                        sw_->node(v).name);
+      }
     }
   }
-
-  graph::Partition partition = graph::Partition::identity(n);
-  for (const auto& bin : bins) {
-    for (std::size_t k = 1; k < bin.size(); ++k) {
-      partition.merge(bin[0], bin[k]);
-    }
-  }
-  return finish(std::move(partition), std::move(steps));
+  return finish(partition_from_groups(n, bins), std::move(steps));
 }
 
 }  // namespace fcm::mapping

@@ -26,6 +26,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,7 +50,9 @@ struct ClusteringOptions {
   /// hosted by at least one HW node (prevents merging modules whose joint
   /// needs fit nowhere). Null = no resource constraint during clustering.
   std::function<bool(const std::set<std::string>&)> resource_check;
-  /// Memoize cluster-pair influence across heuristic iterations. The cached
+  /// Memoize cluster-pair influence across heuristic iterations (the full
+  /// H1 scan, H1-rounds and H3, which ask for a pair again; the pair heap
+  /// asks for each pair once and reads the bundles directly). The cached
   /// and uncached paths produce bitwise-identical results (both combine the
   /// same edge weights in ascending edge order); the flag exists so the
   /// differential tests can prove it. Leave on.
@@ -73,10 +76,12 @@ struct ClusteringOptions {
   /// full-rebuild behavior; both modes produce bitwise-identical merge
   /// sequences, partitions, and quotients (differentially tested).
   bool incremental_quotient = true;
-  /// Record the human-readable per-merge step log. At thousands of nodes
-  /// the joined member-name strings dominate memory and time; the scale
-  /// bench turns this off. Results are unaffected.
-  bool log_steps = true;
+  /// Record the human-readable step log in ClusteringResult::steps. No
+  /// plan, report or serve answer prints it, and at thousands of nodes the
+  /// joined member-name strings dominate memory and time, so it is off
+  /// unless a caller asks (the figure benches and the step-comparing
+  /// tests). Partitions and quotients are unaffected.
+  bool log_steps = false;
   /// Worker threads for the per-part clustering runs of h1_hierarchical
   /// (0 = FCM_THREADS / hardware concurrency, 1 = sequential). The result
   /// is bitwise identical for every value.
@@ -99,7 +104,8 @@ struct ClusteringResult {
   /// The condensed influence graph (Eq. 4 probabilistic edge combination;
   /// replica links excluded).
   graph::Digraph quotient;
-  /// Human-readable log of each combination step.
+  /// Human-readable log of each combination step; empty unless
+  /// ClusteringOptions::log_steps is set.
   std::vector<std::string> steps;
 
   /// Cluster member names, e.g. {"p1a","p2a"}, ordered by cluster index.
@@ -115,8 +121,9 @@ class ClusterEngine {
  public:
   ClusterEngine(const SwGraph& sw, ClusteringOptions options);
 
-  /// Whether the two clusters may combine: no replica pair across them and
-  /// (when enforced) the union is single-processor schedulable.
+  /// Whether the two clusters may combine: no replica pair across them,
+  /// the union's resources pass the resource check, and (when enforced) the
+  /// union is single-processor schedulable.
   [[nodiscard]] bool can_combine(const graph::Partition& partition,
                                  std::uint32_t cluster_a,
                                  std::uint32_t cluster_b);
@@ -141,7 +148,8 @@ class ClusterEngine {
   /// parts are deterministic, each local run depends only on its own
   /// subgraph, and composition and the final merge happen in fixed part
   /// order. With `hierarchy_parts` ≤ 1 (or a graph small enough that the
-  /// auto part count is 1), this is exactly h1_greedy.
+  /// auto part count is 1), or a target of at least the node count, this
+  /// is exactly h1_greedy.
   ClusteringResult h1_hierarchical();
 
   /// H2: recursive min-cut bisection of the largest part until the target
@@ -256,43 +264,53 @@ class ClusterEngine {
     // (rep_from << 32 | rep_to) -> ascending indices into sw edges().
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> bundles_;
     std::unordered_map<std::uint64_t, double> combined_;
-    // Memo keys touching each representative, so merge() invalidates by
-    // direct lookup instead of scanning the whole memo (the memo holds up
-    // to all cluster pairs; a full scan per merge dominated H1 at scale).
-    // Entries may be stale — erasing a key that is already gone is a no-op.
-    std::unordered_map<graph::NodeIndex, std::vector<std::uint64_t>>
-        memo_keys_by_rep_;
+    // Memo keys touching each representative (indexed by representative),
+    // so merge() invalidates by direct lookup instead of scanning the whole
+    // memo (the memo holds up to all cluster pairs; a full scan per merge
+    // dominated H1 at scale). Entries may be stale — erasing a key that is
+    // already gone is a no-op.
+    std::vector<std::vector<std::uint64_t>> memo_keys_by_rep_;
     // Representative -> sorted bundle-neighbor representatives (either
     // direction). Maintained exactly (no stale entries) by reset/merge.
-    std::unordered_map<graph::NodeIndex, std::vector<graph::NodeIndex>>
-        adjacency_;
+    std::vector<std::vector<graph::NodeIndex>> adjacency_;
     // Pooled transient storage for the merge loop: retired bundle vectors
     // are recycled instead of freed, and the scratch lists below keep their
     // capacity across merges.
     std::vector<std::vector<std::uint32_t>> bundle_pool_;
     std::vector<graph::NodeIndex> affected_scratch_;
+    std::vector<graph::NodeIndex> adjacency_scratch_;
     std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>>
         moved_scratch_;
     core::CacheStats stats_;
   };
 
  private:
+  /// can_combine over two member lists: the replica test through
+  /// per-origin stamps, then the resource union, then the schedulability
+  /// oracle over cached per-node jobs. O(|a| + |b|) plus the resource and
+  /// oracle calls, which are the ones a pairwise check would make.
+  [[nodiscard]] bool combinable(std::span<const graph::NodeIndex> a,
+                                std::span<const graph::NodeIndex> b);
   /// Whether the union of the members' resource requirements passes the
   /// configured resource check (true when no check is configured).
   [[nodiscard]] bool resources_hostable(
-      const std::vector<graph::NodeIndex>& members) const;
-  /// Whether the members can share one processor: one-shot jobs go through
-  /// the memoizing EDF oracle; mixtures with periodic tasks use
-  /// sched::mixed_feasible.
+      std::span<const graph::NodeIndex> a,
+      std::span<const graph::NodeIndex> b = {}) const;
+  /// Whether the members of `a` and `b` can share one processor: one-shot
+  /// jobs (in member order, `a` first) go through the memoizing EDF
+  /// oracle; mixtures with periodic tasks use sched::mixed_feasible.
   [[nodiscard]] bool members_schedulable(
-      const std::vector<graph::NodeIndex>& members);
+      std::span<const graph::NodeIndex> a,
+      std::span<const graph::NodeIndex> b = {});
   /// Step-log flavor of the shared greedy merge loop.
   enum class GreedyStepStyle : std::uint8_t {
     kCombine,      ///< H1: "combine A + B (mutual influence m)"
     kRepairMerge,  ///< H2 repair: "repair-merge A + B"
   };
   /// Merges the highest-mutual-influence combinable pair until the target
-  /// cluster count, appending one step per merge. Dispatches to the pair
+  /// cluster count, appending one step per merge when `log_steps` is set.
+  /// `partition` must number its clusters by ascending smallest member (as
+  /// Partition::identity and Partition::merge do). Dispatches to the pair
   /// heap or the full rescan per `options_.use_pair_heap`; both paths pick
   /// identical pairs (max mutual influence, ties broken toward the lowest
   /// cluster indices). Throws Infeasible with `infeasible_what` context
@@ -334,6 +352,19 @@ class ClusterEngine {
   ClusteringOptions options_;
   sched::FeasibilityOracle oracle_;
   QuotientCache quotient_cache_;
+  /// Dense slot of each node's origin process, and a per-slot stamp: a
+  /// replica test marks one side's origins and probes the other's.
+  std::vector<std::uint32_t> origin_slot_;
+  std::vector<std::uint64_t> origin_stamp_;
+  std::uint64_t stamp_ = 0;
+  /// Each node's scheduling job (one-shot timing) and which kind of timing
+  /// it carries; built once per engine.
+  enum class TimingKind : std::uint8_t { kNone, kOneShot, kPeriodic };
+  std::vector<sched::Job> node_job_;
+  std::vector<TimingKind> timing_kind_;
+  /// Scratch for the schedulability check, reused across candidates.
+  std::vector<sched::Job> jobs_scratch_;
+  std::vector<sched::PeriodicTask> periodic_scratch_;
 };
 
 }  // namespace fcm::mapping

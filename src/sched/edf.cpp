@@ -19,19 +19,17 @@ struct Ready {
   }
 };
 
-}  // namespace
-
-Schedule edf_schedule(const std::vector<Job>& jobs) {
+/// The preemptive EDF release sweep shared by edf_schedule and
+/// edf_feasible. Calls `ran(i, from, until)` for every interval job i
+/// executes and `missed(i)` when job i completes past its deadline; stops
+/// at the first miss when `missed` returns true.
+template <typename Ran, typename Missed>
+void edf_sweep(const std::vector<Job>& jobs, Ran&& ran, Missed&& missed) {
   for (const Job& job : jobs) {
     FCM_REQUIRE(job.cost > Duration::zero(),
                 "job " + job.name + " must have positive cost");
   }
-
-  Schedule schedule;
-  if (jobs.empty()) {
-    schedule.feasible = true;
-    return schedule;
-  }
+  if (jobs.empty()) return;
 
   // Jobs sorted by release for the arrival sweep.
   std::vector<std::size_t> by_release(jobs.size());
@@ -49,7 +47,6 @@ Schedule edf_schedule(const std::vector<Job>& jobs) {
 
   std::size_t next_arrival = 0;
   Instant now = jobs[by_release[0]].release;
-  schedule.feasible = true;
 
   while (next_arrival < by_release.size() || !ready.empty()) {
     // Admit everything released by `now`.
@@ -72,34 +69,58 @@ Schedule edf_schedule(const std::vector<Job>& jobs) {
     if (next_arrival < by_release.size()) {
       until = std::min(until, jobs[by_release[next_arrival]].release);
     }
-    const Duration ran = until - now;
-    if (ran > Duration::zero()) {
-      // Coalesce with the previous slice when the same job continues.
-      if (!schedule.slices.empty() &&
-          schedule.slices.back().job == jobs[i].id &&
-          schedule.slices.back().end == now) {
-        schedule.slices.back().end = until;
-      } else {
-        schedule.slices.push_back(Slice{jobs[i].id, now, until});
-      }
-      remaining[i] -= ran;
+    if (until > now) {
+      ran(i, now, until);
+      remaining[i] -= until - now;
     }
     now = until;
 
     if (remaining[i] > Duration::zero()) {
       ready.push(Ready{jobs[i].deadline, i});
-    } else if (now > jobs[i].deadline) {
-      if (schedule.feasible) {
-        schedule.feasible = false;
-        schedule.first_miss = jobs[i].id;
-      }
+    } else if (now > jobs[i].deadline && missed(i)) {
+      return;
     }
   }
+}
+
+}  // namespace
+
+Schedule edf_schedule(const std::vector<Job>& jobs) {
+  Schedule schedule;
+  schedule.feasible = true;
+  edf_sweep(
+      jobs,
+      [&](std::size_t i, Instant from, Instant until) {
+        // Coalesce with the previous slice when the same job continues.
+        if (!schedule.slices.empty() &&
+            schedule.slices.back().job == jobs[i].id &&
+            schedule.slices.back().end == from) {
+          schedule.slices.back().end = until;
+        } else {
+          schedule.slices.push_back(Slice{jobs[i].id, from, until});
+        }
+      },
+      [&](std::size_t i) {
+        if (schedule.feasible) {
+          schedule.feasible = false;
+          schedule.first_miss = jobs[i].id;
+        }
+        return false;  // keep sweeping: the schedule records every slice
+      });
   return schedule;
 }
 
 bool edf_feasible(const std::vector<Job>& jobs) {
-  return edf_schedule(jobs).feasible;
+  // The same sweep with verdict-only bookkeeping: no slices, and the
+  // answer is known at the first completion past a deadline.
+  bool feasible = true;
+  edf_sweep(
+      jobs, [](std::size_t, Instant, Instant) {},
+      [&](std::size_t) {
+        feasible = false;
+        return true;
+      });
+  return feasible;
 }
 
 bool processor_demand_feasible(const std::vector<Job>& jobs) {

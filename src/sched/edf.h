@@ -16,7 +16,9 @@ namespace fcm::sched {
 /// the resulting schedule. Jobs must be well-formed. O(n log n).
 Schedule edf_schedule(const std::vector<Job>& jobs);
 
-/// Exact single-processor feasibility for independent preemptible jobs.
+/// Exact single-processor feasibility for independent preemptible jobs:
+/// the same verdict as edf_schedule(jobs).feasible, decided without
+/// recording slices and returned at the first deadline miss.
 bool edf_feasible(const std::vector<Job>& jobs);
 
 /// The processor-demand criterion: for every interval [t1, t2] spanned by a

@@ -22,6 +22,7 @@ struct Fixture {
   ClusterEngine engine(std::size_t target) {
     ClusteringOptions options;
     options.target_clusters = target;
+    options.log_steps = true;  // several tests read the step log
     return ClusterEngine(sw, options);
   }
 };

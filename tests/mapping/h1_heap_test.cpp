@@ -58,6 +58,7 @@ void expect_identical(const SwGraph& sw, std::size_t target, Method method,
                       const char* what) {
   ClusteringOptions options;
   options.target_clusters = target;
+  options.log_steps = true;  // the step logs are compared below
 
   options.use_pair_heap = false;
   ClusterEngine scan_engine(sw, options);

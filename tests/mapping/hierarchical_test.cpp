@@ -15,6 +15,8 @@
 #include "core/example98.h"
 #include "core/synthetic.h"
 #include "mapping/planner.h"
+#include "serve/protocol.h"
+#include "serve/query.h"
 
 namespace fcm::mapping {
 namespace {
@@ -37,6 +39,7 @@ struct Scaled {
     ClusteringOptions opts;
     opts.target_clusters = target;
     opts.enforce_schedulability = false;
+    opts.log_steps = true;  // expect_identical compares the step logs
     return opts;
   }
 };
@@ -135,6 +138,7 @@ TEST(FlatH1, ZeroMutualFallbackMatchesScan) {
   ClusteringOptions opts;
   opts.target_clusters = 2;
   opts.enforce_schedulability = false;
+  opts.log_steps = true;
   opts.incremental_quotient = true;
   opts.use_pair_heap = true;
   ClusterEngine heap_engine(sw, opts);
@@ -153,6 +157,45 @@ TEST(HierarchicalH1, PlannerRunsHeuristicEndToEnd) {
   EXPECT_EQ(plan.clustering.partition.cluster_count, 4u);
   EXPECT_EQ(plan.assignment.hw_of.size(), 4u);
   EXPECT_STREQ(to_string(Heuristic::kH1Hierarchical), "H1-hierarchical");
+}
+
+// At a target of at least the SW node count H1 performs no merges. h1h
+// must then accept the spare HW nodes exactly as h1 does, instead of
+// failing a precondition: example98 (12 SW nodes) on 13 HW nodes, and
+// synthetic-512-1 (771 SW nodes, 8 parts by default) on 800.
+TEST(HierarchicalH1, SpareHwNodesPlanExactlyAsFlatH1) {
+  const auto instance = core::example98::make_instance();
+  const SwGraph example =
+      SwGraph::build(instance.hierarchy, instance.influence,
+                     instance.processes);
+  const Scaled synthetic(512, 1);
+  for (const auto& [sw, hw] :
+       {std::pair<const SwGraph*, std::size_t>{&example, 13},
+        {&synthetic.sw, 800}}) {
+    ClusteringOptions opts;
+    opts.target_clusters = hw;
+    ClusterEngine flat(*sw, opts);
+    ClusterEngine hierarchical(*sw, opts);
+    const ClusteringResult expected = flat.h1_greedy();
+    EXPECT_EQ(expected.partition.cluster_count, sw->node_count());
+    expect_identical(hierarchical.h1_hierarchical(), expected);
+  }
+
+  // The rendered plans match too, apart from the heuristic's name.
+  const auto plan_body = [](const std::string& payload) {
+    const std::string text =
+        serve::QueryEngine::one_shot(serve::protocol::Opcode::kMapping,
+                                     payload)
+            .text;
+    return text.substr(text.find('\n') + 1);
+  };
+  for (const std::string model :
+       {"model=example98 hw=13", "model=synthetic-512-1 hw=800"}) {
+    const std::string flat = plan_body(model + " heuristic=h1");
+    EXPECT_NE(flat.find("constraints: satisfied"), std::string::npos)
+        << model;
+    EXPECT_EQ(plan_body(model + " heuristic=h1h"), flat) << model;
+  }
 }
 
 }  // namespace

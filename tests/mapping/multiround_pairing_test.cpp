@@ -45,6 +45,7 @@ TEST(MultiRoundPairing, ReachesTargetThroughTwoRounds) {
       SwGraph::build(sys.hierarchy, sys.influence, sys.processes);
   ClusteringOptions options;
   options.target_clusters = 4;  // 16 -> 8 (round 1) -> 4 (round 2)
+  options.log_steps = true;     // the rounds are read from the step log
   ClusterEngine engine(sw, options);
   const ClusteringResult result = engine.criticality_pairing();
   EXPECT_EQ(result.partition.cluster_count, 4u);

@@ -44,6 +44,7 @@ TEST(H2StCut, DefaultEndpointsProduceValidClustering) {
   Fixture fx;
   ClusteringOptions options;
   options.target_clusters = 6;
+  options.log_steps = true;  // the first step names the cut
   ClusterEngine engine(fx.sw, options);
   const ClusteringResult result = engine.h2_st_cut();
   expect_valid(result, fx.sw, 6);

@@ -113,6 +113,7 @@ TEST(ScaleClustering, PairHeapMatchesScanAtHundredNodes) {
     // Pure graph condensation: the equivalence claim is about merge order,
     // and skipping the oracle keeps this suite fast under plain `ctest`.
     options.enforce_schedulability = false;
+    options.log_steps = true;  // the step logs are compared below
 
     options.use_pair_heap = false;
     mapping::ClusterEngine scan_engine(sw, options);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace fcm::sched {
@@ -120,6 +121,49 @@ TEST_P(EdfVsDemandCriterion, SimulationMatchesAnalyticCriterion) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EdfVsDemandCriterion,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(EdfFeasible, MatchesScheduleVerdict) {
+  // edf_feasible runs the release sweep without recording slices and stops
+  // at the first miss; its verdict must be edf_schedule's on every set.
+  // Releases and deadlines come from a coarse grid so ties are common,
+  // widely spread releases leave idle gaps, and the load varies so that
+  // sets miss early, late, or not at all.
+  Rng rng(2026);
+  int feasible = 0, infeasible = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<Job> jobs;
+    const std::size_t n = 1 + rng.below(9);
+    const std::int64_t spread = rng.chance(Probability(0.5)) ? 8 : 80;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int64_t est = 4 * rng.range(0, spread / 4);
+      const std::int64_t ct = rng.range(1, 12);
+      const std::int64_t tcd = est + 4 * rng.range(0, 6) + ct / 2;
+      jobs.push_back(make_job(static_cast<std::uint32_t>(i), est, tcd, ct));
+    }
+    const bool verdict = edf_schedule(jobs).feasible;
+    EXPECT_EQ(edf_feasible(jobs), verdict) << "trial " << trial;
+    ++(verdict ? feasible : infeasible);
+  }
+  EXPECT_GT(feasible, 100);
+  EXPECT_GT(infeasible, 100);
+
+  // The first job to run misses, and so does only the last one.
+  const std::vector<Job> early{make_job(0, 0, 2, 5), make_job(1, 0, 50, 1)};
+  const std::vector<Job> late{make_job(0, 0, 10, 3), make_job(1, 0, 20, 4),
+                              make_job(2, 30, 31, 2)};
+  for (const auto& jobs : {early, late}) {
+    EXPECT_FALSE(edf_schedule(jobs).feasible);
+    EXPECT_FALSE(edf_feasible(jobs));
+  }
+
+  // A non-positive cost is rejected by both, wherever it sits in the set.
+  for (const std::int64_t cost : {0, -3}) {
+    const std::vector<Job> bad{make_job(0, 0, 10, 2),
+                               make_job(1, 0, 10, cost)};
+    EXPECT_THROW((void)edf_schedule(bad), InvalidArgument);
+    EXPECT_THROW((void)edf_feasible(bad), InvalidArgument);
+  }
+}
 
 }  // namespace
 }  // namespace fcm::sched
