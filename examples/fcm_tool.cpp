@@ -4,7 +4,6 @@
 //
 //   fcm_tool plan  [--hw N] [--heuristic h1|h1r|h1h|h2|h3|crit|timing]
 //                  [--approach a|b] [--synthetic P] [--seed S]
-//                  [--quotient incremental|rebuild]
 //   fcm_tool table                       # print Table 1
 //   fcm_tool influence                   # print the Fig. 3 graph + roles
 //   fcm_tool separation [--order K]      # Eq. 3 separation matrix
@@ -62,7 +61,7 @@ const std::vector<CommandSpec> kCommands = {
     {"separation", {{"order"}, {"threads"}}},
     {"plan",
      {{"hw"}, {"heuristic"}, {"approach"}, {"sweep-threads"}, {"synthetic"},
-      {"seed"}, {"quotient"}}},
+      {"seed"}}},
     {"depend", {{"hw"}, {"q"}, {"trials"}, {"threads"}}},
     {"replan", {{"hw"}, {"fail"}, {"heuristic"}, {"approach"}}},
     {"resilience",
@@ -88,13 +87,12 @@ int usage() {
       "  influence                           Fig. 3 graph + 4.2.4 roles\n"
       "  separation [--order K] [--threads T]  Eq. 3 separation matrix\n"
       "  plan [--hw N] [--heuristic H] [--approach a|b] [--sweep-threads T]\n"
-      "       [--synthetic P] [--seed S] [--quotient incremental|rebuild]\n"
+      "       [--synthetic P] [--seed S]\n"
       "       H in {h1, h1r, h1h, h2, h3, crit, timing, best}; T\n"
       "       parallelizes the 'best' sweep (0 = all cores, same plan for\n"
       "       every T); --synthetic plans a deterministic seeded random\n"
       "       system of P processes instead of example98 (h1h scales to\n"
-      "       thousands); --quotient selects the clustering cache mode,\n"
-      "       both modes print byte-identical plans\n"
+      "       thousands)\n"
       "  depend [--hw N] [--q P] [--trials N] [--threads T]\n"
       "       Monte Carlo evaluation; T=0 uses all cores, the estimates\n"
       "       are identical for every T\n"
@@ -171,7 +169,7 @@ int cmd_separation(const cli::Options& args) {
   const auto instance = core::example98::make_instance();
   core::SeparationOptions options;
   options.max_order = args.get_int("order", 6);
-  options.threads = static_cast<std::uint32_t>(args.get_int("threads", 0));
+  options.threads = args.get_count("threads", 0);
   const core::SeparationAnalysis analysis(instance.influence, options);
   std::vector<std::string> headers{"sep"};
   for (int k = 1; k <= 8; ++k) headers.push_back("p" + std::to_string(k));
@@ -234,8 +232,7 @@ int cmd_plan(const cli::Options& args) {
            {"hw", "hw"},
            {"heuristic", "heuristic"},
            {"approach", "approach"},
-           {"sweep-threads", "sweep_threads"},
-           {"quotient", "quotient"}}) {
+           {"sweep-threads", "sweep_threads"}}) {
     forward(args, cli_name, param_name, payload);
   }
   const serve::QueryResult result =
@@ -312,8 +309,8 @@ int cmd_resilience(const cli::Options& args) {
   const std::vector<resilience::Scenario> grid = resilience::standard_grid(
       planner.sw_graph(), plan.clustering.partition, plan.assignment, hw);
   resilience::CampaignOptions options;
-  options.trials = static_cast<std::uint32_t>(args.get_int("trials", 96));
-  options.threads = static_cast<std::uint32_t>(args.get_int("threads", 0));
+  options.trials = args.get_count("trials", 96);
+  options.threads = args.get_count("threads", 0);
   options.horizon = Duration::millis(args.get_int("horizon-ms", 200));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 2026));
@@ -341,8 +338,7 @@ int cmd_serve(const cli::Options& args) {
     throw cli::CliError("port must be in [0, 65535]");
   }
   options.port = static_cast<std::uint16_t>(port);
-  options.workers =
-      static_cast<std::uint32_t>(args.get_int("workers", 1));
+  options.workers = args.get_count("workers", 1);
   options.idle_timeout =
       Duration::millis(args.get_int("idle-timeout-ms", 30'000));
   const int max_frame_kb = args.get_int("max-frame-kb", 1024);

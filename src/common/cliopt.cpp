@@ -28,6 +28,16 @@ int Options::get_int(const std::string& name, int fallback) const {
   return value;
 }
 
+std::uint32_t Options::get_count(const std::string& name,
+                                 int fallback) const {
+  const int value = get_int(name, fallback);
+  if (value < 0) {
+    throw CliError("option --" + name + " must be >= 0, got " +
+                   std::to_string(value));
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 double Options::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;

@@ -9,6 +9,7 @@
 // and exit non-zero instead of crashing.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -45,6 +46,12 @@ class Options {
   /// Integer value; throws CliError when the value is not entirely a
   /// base-10 integer (e.g. "abc", "3x", "1.5") or does not fit an int.
   [[nodiscard]] int get_int(const std::string& name, int fallback) const;
+
+  /// A count (trials, threads, workers, ...): get_int's value, which must
+  /// not be negative. Throws CliError instead of letting -1 wrap around to
+  /// 4294967295.
+  [[nodiscard]] std::uint32_t get_count(const std::string& name,
+                                        int fallback) const;
 
   /// Double value; throws CliError when the value is not entirely a
   /// decimal number.

@@ -77,7 +77,7 @@ std::uint64_t model_key(const InfluenceModel& model) {
   // a destroyed model whose heap address was reused by a fresh model at the
   // same revision count resurrected the dead model's entry. Content keying
   // cannot dangle (and lets two equal models share one entry). to_matrix()
-  // costs O(n²) memoized influence lookups per query; the raw-matrix
+  // walks the model's recorded pairs once per query; the raw-matrix
   // overload below stays O(1) via the hash cached inside Matrix.
   return fnv_mix(kFnvOffset, model.to_matrix().content_hash());
 }

@@ -175,7 +175,7 @@ DependabilityReport evaluate_mapping(
 
   const std::uint32_t block_size = mission.trials_per_block;
   const std::uint32_t block_count =
-      (mission.trials + block_size - 1) / block_size;
+      exec::block_count(mission.trials, block_size);
   const std::uint32_t threads =
       exec::resolve_threads(mission.threads, block_count);
 
@@ -196,7 +196,7 @@ DependabilityReport evaluate_mapping(
         const std::uint32_t block = static_cast<std::uint32_t>(b);
         const std::uint32_t first = block * block_size;
         const std::uint32_t last =
-            std::min(mission.trials, first + block_size);
+            exec::block_end(mission.trials, block_size, block);
         FCM_OBS_SPAN("mc.block", block);
         run_block(sw, clustering, assignment, hw, mission, processes,
                   critical_threshold, master.substream(block), first, last,

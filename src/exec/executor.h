@@ -51,6 +51,7 @@
 // tools/compare_metrics.py).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 
@@ -102,6 +103,24 @@ class BlockFn {
 /// calling lane (see the nested-submission rule above).
 void parallel_for_blocks(std::uint64_t n_blocks, std::uint32_t threads,
                          BlockFn fn);
+
+/// Blocks of `block_size` items that cover `items` — how the Monte Carlo
+/// engines shard their trials. The sum runs in 64 bits, so a block size
+/// near UINT32_MAX yields one block instead of wrapping to none.
+[[nodiscard]] constexpr std::uint32_t block_count(
+    std::uint32_t items, std::uint32_t block_size) noexcept {
+  return static_cast<std::uint32_t>(
+      (std::uint64_t{items} + block_size - 1) / block_size);
+}
+
+/// One past the last item of block `block` in that sharding (block `b`
+/// starts at `b * block_size`).
+[[nodiscard]] constexpr std::uint32_t block_end(
+    std::uint32_t items, std::uint32_t block_size,
+    std::uint64_t block) noexcept {
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(items, (block + 1) * block_size));
+}
 
 /// Number of persistent workers currently parked in the pool (diagnostic;
 /// grows on demand, never shrinks).

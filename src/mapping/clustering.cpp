@@ -137,15 +137,9 @@ class LiveClusters {
 }  // namespace
 
 void ClusterEngine::QuotientCache::reset(const SwGraph& sw,
-                                         const graph::Partition& partition,
-                                         bool incremental) {
+                                         const graph::Partition& partition) {
   sw_ = &sw;
-  incremental_ = incremental;
   bundles_.clear();
-  stats_.invalidations += combined_.size();
-  FCM_OBS_COUNT("quotient_cache.invalidations", combined_.size());
-  combined_.clear();
-  memo_keys_by_rep_.assign(partition.cluster_of.size(), {});
   adjacency_.assign(partition.cluster_of.size(), {});
   bundle_pool_.clear();
   // Representative of each cluster: its smallest member node index.
@@ -210,94 +204,10 @@ double ClusterEngine::QuotientCache::combine(std::uint64_t key) const {
   return std::clamp(1.0 - none, 0.0, 1.0);
 }
 
-double ClusterEngine::QuotientCache::directed(graph::NodeIndex rep_from,
-                                              graph::NodeIndex rep_to,
-                                              bool memoize) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(rep_from) << 32) | rep_to;
-  if (!memoize) return combine(key);
-  if (const auto it = combined_.find(key); it != combined_.end()) {
-    ++stats_.hits;
-    FCM_OBS_COUNT("quotient_cache.hits", 1);
-    return it->second;
-  }
-  ++stats_.misses;
-  FCM_OBS_COUNT("quotient_cache.misses", 1);
-  const double value = combine(key);
-  combined_.emplace(key, value);
-  memo_keys_by_rep_[rep_from].push_back(key);
-  memo_keys_by_rep_[rep_to].push_back(key);
-  return value;
-}
-
 double ClusterEngine::QuotientCache::mutual(graph::NodeIndex rep_a,
-                                            graph::NodeIndex rep_b,
-                                            bool memoize) {
-  return directed(rep_a, rep_b, memoize) + directed(rep_b, rep_a, memoize);
-}
-
-void ClusterEngine::QuotientCache::merge(graph::NodeIndex rep_a,
-                                         graph::NodeIndex rep_b) {
-  const graph::NodeIndex merged = std::min(rep_a, rep_b);
-  if (incremental_) {
-    FCM_OBS_COUNT("quotient_cache.delta_merges", 1);
-    merge_incremental(rep_a, rep_b, merged);
-  } else {
-    FCM_OBS_COUNT("quotient_cache.rebuild_merges", 1);
-    merge_scan_all(rep_a, rep_b, merged);
-  }
-  update_adjacency_after_merge(rep_a, rep_b, merged);
-  // Drop memo entries involving either input (the merged cluster reuses
-  // rep == min(rep_a, rep_b), so its stale values are covered too). Every
-  // memo entry was indexed under both endpoints at insertion, so the two
-  // reps' key lists cover exactly the entries a full memo scan would find;
-  // keys already invalidated through the other endpoint erase as no-ops.
-  for (const graph::NodeIndex rep : {rep_a, rep_b}) {
-    std::vector<std::uint64_t>& keys = memo_keys_by_rep_[rep];
-    for (const std::uint64_t key : keys) {
-      const std::size_t erased = combined_.erase(key);
-      stats_.invalidations += erased;
-      FCM_OBS_COUNT("quotient_cache.invalidations", erased);
-    }
-    keys.clear();
-  }
-}
-
-void ClusterEngine::QuotientCache::merge_scan_all(graph::NodeIndex rep_a,
-                                                  graph::NodeIndex rep_b,
-                                                  graph::NodeIndex merged) {
-  // Re-bucket every bundle touching either input cluster; edges between
-  // the two become internal and disappear.
-  auto& moved = moved_scratch_;
-  moved.clear();
-  for (auto it = bundles_.begin(); it != bundles_.end();) {
-    const auto from = static_cast<graph::NodeIndex>(it->first >> 32);
-    const auto to = static_cast<graph::NodeIndex>(it->first & 0xFFFFFFFFu);
-    const bool from_hit = from == rep_a || from == rep_b;
-    const bool to_hit = to == rep_a || to == rep_b;
-    if (!from_hit && !to_hit) {
-      ++it;
-      continue;
-    }
-    if (!(from_hit && to_hit)) {  // edges inside the union just vanish
-      const graph::NodeIndex new_from = from_hit ? merged : from;
-      const graph::NodeIndex new_to = to_hit ? merged : to;
-      moved.emplace_back(
-          (static_cast<std::uint64_t>(new_from) << 32) | new_to,
-          std::move(it->second));
-    } else {
-      recycle(std::move(it->second));
-    }
-    it = bundles_.erase(it);
-  }
-  for (auto& [key, indices] : moved) {
-    auto& bundle = bundles_[key];
-    bundle.insert(bundle.end(), indices.begin(), indices.end());
-    // Two clusters' bundles may both feed one target pair; restore the
-    // canonical ascending edge order a fresh rebuild would produce.
-    std::sort(bundle.begin(), bundle.end());
-    recycle(std::move(indices));
-  }
+                                            graph::NodeIndex rep_b) const {
+  return combine((static_cast<std::uint64_t>(rep_a) << 32) | rep_b) +
+         combine((static_cast<std::uint64_t>(rep_b) << 32) | rep_a);
 }
 
 void ClusterEngine::QuotientCache::fold_bundle_into(std::uint64_t key,
@@ -322,13 +232,12 @@ void ClusterEngine::QuotientCache::fold_bundle_into(std::uint64_t key,
   slot->second = std::move(folded);
 }
 
-void ClusterEngine::QuotientCache::merge_incremental(graph::NodeIndex rep_a,
-                                                     graph::NodeIndex rep_b,
-                                                     graph::NodeIndex merged) {
-  // Delta update: only bundles adjacent to the two input clusters can be
-  // affected, and the neighbor index knows exactly which those are — no
-  // scan over the remaining bundles. Identical post-state to
-  // merge_scan_all (differentially tested).
+void ClusterEngine::QuotientCache::merge(graph::NodeIndex rep_a,
+                                         graph::NodeIndex rep_b) {
+  // Only bundles adjacent to the two input clusters can be affected, and
+  // the neighbor index knows exactly which those are — no scan over the
+  // remaining bundles.
+  const graph::NodeIndex merged = std::min(rep_a, rep_b);
   auto& affected = affected_scratch_;
   affected.clear();
   for (const graph::NodeIndex rep : {rep_a, rep_b}) {
@@ -358,6 +267,7 @@ void ClusterEngine::QuotientCache::merge_incremental(graph::NodeIndex rep_a,
     fold_bundle_into((static_cast<std::uint64_t>(c) << 32) | other,
                      (static_cast<std::uint64_t>(c) << 32) | merged);
   }
+  update_adjacency_after_merge(rep_a, rep_b, merged);
 }
 
 void ClusterEngine::QuotientCache::update_adjacency_after_merge(
@@ -407,6 +317,9 @@ ClusterEngine::ClusterEngine(const SwGraph& sw, ClusteringOptions options)
     : sw_(&sw), options_(options), oracle_(options.policy) {
   FCM_REQUIRE(options_.target_clusters >= 1,
               "target cluster count must be positive");
+  FCM_REQUIRE(options_.incremental_quotient,
+              "the full-rebuild quotient mode was removed; "
+              "incremental_quotient must be true");
   // Each node's origin gets a dense slot for the replica test, and its
   // timing a cached job for the schedulability test.
   const std::size_t n = sw.node_count();
@@ -558,20 +471,10 @@ ClusteringResult ClusterEngine::finish(graph::Partition partition,
 ClusteringResult ClusterEngine::h1_greedy() {
   graph::Partition partition =
       graph::Partition::identity(sw_->node_count());
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
+  quotient_cache_.reset(*sw_, partition);
   std::vector<std::string> steps;
   greedy_merge_to_target(partition, steps, GreedyStepStyle::kCombine);
   return finish(std::move(partition), std::move(steps));
-}
-
-void ClusterEngine::greedy_merge_to_target(graph::Partition& partition,
-                                           std::vector<std::string>& steps,
-                                           GreedyStepStyle style) {
-  if (options_.use_pair_heap) {
-    greedy_merge_heap(partition, steps, style);
-  } else {
-    greedy_merge_scan(partition, steps, style);
-  }
 }
 
 void ClusterEngine::throw_no_combinable_pair(
@@ -599,40 +502,9 @@ std::string ClusterEngine::greedy_step_text(GreedyStepStyle style,
   return step.str();
 }
 
-void ClusterEngine::greedy_merge_scan(graph::Partition& partition,
-                                      std::vector<std::string>& steps,
-                                      GreedyStepStyle style) {
-  const bool memo = options_.use_influence_cache;
-  while (partition.cluster_count > options_.target_clusters) {
-    const auto groups = partition.groups();
-    double best = -1.0;
-    std::uint32_t best_a = 0, best_b = 0;
-    for (std::uint32_t a = 0; a < partition.cluster_count; ++a) {
-      for (std::uint32_t b = a + 1; b < partition.cluster_count; ++b) {
-        const double m = quotient_cache_.mutual(groups[a].front(),
-                                                groups[b].front(), memo);
-        if (m > best && can_combine(partition, a, b)) {
-          best = m;
-          best_a = a;
-          best_b = b;
-        }
-      }
-    }
-    if (best < 0.0) throw_no_combinable_pair(partition, style);
-    if (options_.log_steps) {
-      steps.push_back(greedy_step_text(style,
-                                       join_names(*sw_, groups[best_a]),
-                                       join_names(*sw_, groups[best_b]),
-                                       best));
-    }
-    quotient_cache_.merge(groups[best_a].front(), groups[best_b].front());
-    partition.merge(groups[best_a].front(), groups[best_b].front());
-  }
-}
-
-void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
-                                      std::vector<std::string>& steps,
-                                      GreedyStepStyle style) {
+void ClusterEngine::greedy_merge_to_target(graph::Partition& partition,
+                                           std::vector<std::string>& steps,
+                                           GreedyStepStyle style) {
   // Lazy-deletion max-heap over candidate cluster pairs, keyed by mutual
   // influence. Clusters live as per-representative state (LiveClusters):
   // the representative (smallest member node index) is stable under
@@ -641,17 +513,14 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
   // instead of being searched for. Every step costs O(size of the two
   // clusters it touches); the dense partition is written once at the end.
   //
-  // Selection equivalence with the scan: cluster indices are ordered by
-  // smallest member (Partition::merge keeps the lower index and shifts the
-  // rest down), so ordering ties by ascending (rep_a, rep_b) reproduces the
-  // scan's first-wins tie break over ascending (a, b); a popped pair that
-  // fails can_combine is discarded for good because combinability depends
-  // only on the two clusters' members, and any later membership change
-  // reinserts the pair with fresh stamps.
-  //
-  // Each pair's mutual influence is asked for once, so the heap reads the
-  // bundles directly instead of filling a memo it would never hit.
-  const bool incremental = options_.incremental_quotient;
+  // Tie breaks: cluster indices are ordered by smallest member
+  // (Partition::merge keeps the lower index and shifts the rest down), so
+  // ordering ties by ascending (rep_a, rep_b) picks the lowest cluster
+  // indices, as an O(k²) scan over ascending (a, b) with first-wins would
+  // (tests/mapping/h1_scan_reference.h keeps that scan as the oracle). A
+  // popped pair that fails can_combine is discarded for good because
+  // combinability depends only on the two clusters' members, and any later
+  // membership change reinserts the pair with fresh stamps.
   FCM_OBS_SPAN("h1.greedy_merge");
   // Local tallies flushed once at the end: the merge loop is sequential, so
   // one registry call per run costs nothing on the pop path.
@@ -672,43 +541,30 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
 
   LiveClusters clusters(partition);
   const auto n = static_cast<graph::NodeIndex>(clusters.node_count());
-  const auto mutual = [&](graph::NodeIndex lo, graph::NodeIndex hi) {
-    return quotient_cache_.mutual(lo, hi, /*memoize=*/false);
-  };
   // Last known exact mutual value per live positive pair, keyed
-  // (lo << 32 | hi) by representatives (incremental mode only). When a
-  // merge leaves a neighbor's edge bundle untouched — the neighbor was
-  // adjacent to only one of the two merged clusters, so the fold just
-  // re-keys its bundle — the pair's mutual value is bitwise unchanged and
-  // is inherited from here instead of re-running the Eq. 4 product.
+  // (lo << 32 | hi) by representatives. When a merge leaves a neighbor's
+  // edge bundle untouched — the neighbor was adjacent to only one of the
+  // two merged clusters, so the fold just re-keys its bundle — the pair's
+  // mutual value is bitwise unchanged and is inherited from here instead
+  // of re-running the Eq. 4 product.
   std::unordered_map<std::uint64_t, double> pair_value;
   const auto pair_key = [](graph::NodeIndex lo, graph::NodeIndex hi) {
     return (static_cast<std::uint64_t>(lo) << 32) | hi;
   };
 
+  // Seed only pairs sharing at least one crossing influence edge with
+  // positive combined influence — every other pair is exactly 0.0 and is
+  // reached through the zero-mutual fallback below once the heap drains.
+  // At scale this is O(edges) candidates instead of O(clusters²).
   std::vector<Candidate> heap;
-  if (incremental) {
-    // Seed only pairs sharing at least one crossing influence edge with
-    // positive combined influence — every other pair is exactly 0.0 and is
-    // reached through the zero-mutual fallback below once the heap drains.
-    // At scale this is O(edges) candidates instead of O(clusters²).
-    for (graph::NodeIndex a = 0; a < n; ++a) {
-      if (!clusters.alive(a)) continue;
-      for (const graph::NodeIndex b : quotient_cache_.neighbors(a)) {
-        if (b <= a) continue;
-        const double m = mutual(a, b);
-        if (m > 0.0) {
-          heap.push_back({m, a, b, 0, 0});
-          pair_value.emplace(pair_key(a, b), m);
-        }
-      }
-    }
-  } else {
-    heap.reserve(std::size_t{clusters.count()} * (clusters.count() - 1) / 2);
-    for (graph::NodeIndex a = 0; a < n; ++a) {
-      if (!clusters.alive(a)) continue;
-      for (graph::NodeIndex b = a + 1; b < n; ++b) {
-        if (clusters.alive(b)) heap.push_back({mutual(a, b), a, b, 0, 0});
+  for (graph::NodeIndex a = 0; a < n; ++a) {
+    if (!clusters.alive(a)) continue;
+    for (const graph::NodeIndex b : quotient_cache_.neighbors(a)) {
+      if (b <= a) continue;
+      const double m = quotient_cache_.mutual(a, b);
+      if (m > 0.0) {
+        heap.push_back({m, a, b, 0, 0});
+        pair_value.emplace(pair_key(a, b), m);
       }
     }
   }
@@ -724,60 +580,45 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
           style, join_names(*sw_, clusters.members(rep_a)),
           join_names(*sw_, clusters.members(rep_b)), mutual_value));
     }
-    if (incremental) {
-      // Snapshot both adjacency lists before the cache merge folds them.
-      na_scratch = quotient_cache_.neighbors(rep_a);
-      nb_scratch = quotient_cache_.neighbors(rep_b);
-    }
+    // Snapshot both adjacency lists before the cache merge folds them.
+    na_scratch = quotient_cache_.neighbors(rep_a);
+    nb_scratch = quotient_cache_.neighbors(rep_b);
     quotient_cache_.merge(rep_a, rep_b);
     const graph::NodeIndex merged = std::min(rep_a, rep_b);
     clusters.merge(merged, std::max(rep_a, rep_b));
-    // Only pairs touching the merged cluster need fresh influence values.
-    if (incremental) {
-      // And of those, only its bundle-neighbors can be positive; the
-      // neighbor index (already folded by the cache merge above) lists
-      // exactly those, ascending. A neighbor of only one merged side keeps
-      // a bitwise-identical bundle, so its mutual value is inherited; only
-      // neighbors of both sides get a fresh Eq. 4 evaluation.
-      pair_value.erase(pair_key(merged, std::max(rep_a, rep_b)));
-      for (const graph::NodeIndex c : quotient_cache_.neighbors(merged)) {
-        const bool in_a = std::binary_search(na_scratch.begin(),
-                                             na_scratch.end(), c);
-        const bool in_b = std::binary_search(nb_scratch.begin(),
-                                             nb_scratch.end(), c);
-        const std::uint64_t key_a =
-            pair_key(std::min(rep_a, c), std::max(rep_a, c));
-        const std::uint64_t key_b =
-            pair_key(std::min(rep_b, c), std::max(rep_b, c));
-        const graph::NodeIndex lo = std::min(c, merged);
-        const graph::NodeIndex hi = std::max(c, merged);
-        double m = 0.0;
-        if (in_a && in_b) {
-          m = mutual(lo, hi);
-          ++recomputes;
-        } else {
-          const auto it = pair_value.find(in_a ? key_a : key_b);
-          m = it == pair_value.end() ? 0.0 : it->second;
-          ++inherits;
-        }
-        pair_value.erase(key_a);
-        pair_value.erase(key_b);
-        if (m <= 0.0) continue;
-        pair_value.emplace(pair_key(lo, hi), m);
-        heap.push_back(
-            {m, lo, hi, clusters.version(lo), clusters.version(hi)});
-        std::push_heap(heap.begin(), heap.end(), worse);
-      }
-    } else {
-      for (graph::NodeIndex rep = 0; rep < n; ++rep) {
-        if (rep == merged || !clusters.alive(rep)) continue;
-        const graph::NodeIndex lo = std::min(rep, merged);
-        const graph::NodeIndex hi = std::max(rep, merged);
-        heap.push_back({mutual(lo, hi), lo, hi, clusters.version(lo),
-                        clusters.version(hi)});
-        std::push_heap(heap.begin(), heap.end(), worse);
+    // Only pairs touching the merged cluster need fresh influence values,
+    // and of those only its bundle-neighbors can be positive; the neighbor
+    // index (already folded by the cache merge above) lists exactly those,
+    // ascending. A neighbor of only one merged side keeps a
+    // bitwise-identical bundle, so its mutual value is inherited; only
+    // neighbors of both sides get a fresh Eq. 4 evaluation.
+    pair_value.erase(pair_key(merged, std::max(rep_a, rep_b)));
+    for (const graph::NodeIndex c : quotient_cache_.neighbors(merged)) {
+      const bool in_a =
+          std::binary_search(na_scratch.begin(), na_scratch.end(), c);
+      const bool in_b =
+          std::binary_search(nb_scratch.begin(), nb_scratch.end(), c);
+      const std::uint64_t key_a =
+          pair_key(std::min(rep_a, c), std::max(rep_a, c));
+      const std::uint64_t key_b =
+          pair_key(std::min(rep_b, c), std::max(rep_b, c));
+      const graph::NodeIndex lo = std::min(c, merged);
+      const graph::NodeIndex hi = std::max(c, merged);
+      double m = 0.0;
+      if (in_a && in_b) {
+        m = quotient_cache_.mutual(lo, hi);
         ++recomputes;
+      } else {
+        const auto it = pair_value.find(in_a ? key_a : key_b);
+        m = it == pair_value.end() ? 0.0 : it->second;
+        ++inherits;
       }
+      pair_value.erase(key_a);
+      pair_value.erase(key_b);
+      if (m <= 0.0) continue;
+      pair_value.emplace(pair_key(lo, hi), m);
+      heap.push_back({m, lo, hi, clusters.version(lo), clusters.version(hi)});
+      std::push_heap(heap.begin(), heap.end(), worse);
     }
     ++merges;
   };
@@ -785,10 +626,10 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
   // Every remaining combinable pair has mutual influence exactly 0.0 once
   // the heap drains (positive pairs are heap-resident until popped, and a
   // popped pair that failed can_combine stays uncombinable until one of
-  // its clusters changes, which re-inserts it). The scan reference would
-  // pick the first combinable pair in ascending cluster-index order —
-  // cluster indices are ordered by representative, so scanning live
-  // representatives in ascending order reproduces that choice.
+  // its clusters changes, which re-inserts it). The tie break then picks
+  // the first combinable pair in ascending cluster-index order — cluster
+  // indices are ordered by representative, so scanning live
+  // representatives in ascending order makes that choice.
   std::vector<graph::NodeIndex> live;
   const auto zero_mutual_fallback = [&]() {
     live.clear();
@@ -829,7 +670,7 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
       merged_one = true;
       break;
     }
-    if (!merged_one && incremental) merged_one = zero_mutual_fallback();
+    if (!merged_one) merged_one = zero_mutual_fallback();
     if (!merged_one) {
       partition = clusters.partition();
       throw_no_combinable_pair(partition, style);
@@ -847,8 +688,7 @@ void ClusterEngine::greedy_merge_heap(graph::Partition& partition,
 ClusteringResult ClusterEngine::h1_rounds() {
   graph::Partition partition =
       graph::Partition::identity(sw_->node_count());
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
-  const bool memo = options_.use_influence_cache;
+  quotient_cache_.reset(*sw_, partition);
   std::vector<std::string> steps;
   int round = 0;
   while (partition.cluster_count > options_.target_clusters) {
@@ -862,9 +702,9 @@ ClusteringResult ClusterEngine::h1_rounds() {
     std::vector<Pair> pairs;
     for (std::uint32_t a = 0; a < partition.cluster_count; ++a) {
       for (std::uint32_t b = a + 1; b < partition.cluster_count; ++b) {
-        pairs.push_back({quotient_cache_.mutual(groups[a].front(),
-                                                groups[b].front(), memo),
-                         a, b});
+        const double m =
+            quotient_cache_.mutual(groups[a].front(), groups[b].front());
+        pairs.push_back({m, a, b});
       }
     }
     std::sort(pairs.begin(), pairs.end(), [](const Pair& x, const Pair& y) {
@@ -1143,7 +983,7 @@ ClusteringResult ClusterEngine::h1_hierarchical() {
     }
   }
   graph::Partition partition = partition_from_reps(rep_of);
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
+  quotient_cache_.reset(*sw_, partition);
   greedy_merge_to_target(partition, steps, GreedyStepStyle::kCombine);
   return finish(std::move(partition), std::move(steps));
 }
@@ -1235,8 +1075,12 @@ ClusteringResult ClusterEngine::h2_driver(
     parts.push_back(std::move(second));
   };
 
-  // Phase 1: bisect the largest part until the target count.
-  while (parts.size() < options_.target_clusters) {
+  // Phase 1: bisect the largest part until the target count, or into
+  // singletons when the target exceeds the node count (spare HW nodes, as
+  // H1 accepts them).
+  const std::size_t split_target =
+      std::min(options_.target_clusters, sw_->node_count());
+  while (parts.size() < split_target) {
     std::size_t largest = parts.size();
     for (std::size_t i = 0; i < parts.size(); ++i) {
       if (parts[i].size() < 2) continue;
@@ -1267,7 +1111,7 @@ ClusteringResult ClusterEngine::h2_driver(
   // steps if the repair overshot.
   graph::Partition partition =
       partition_from_groups(sw_->node_count(), parts);
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
+  quotient_cache_.reset(*sw_, partition);
   greedy_merge_to_target(partition, steps, GreedyStepStyle::kRepairMerge);
   return finish(std::move(partition), std::move(steps));
 }
@@ -1275,9 +1119,9 @@ ClusteringResult ClusterEngine::h2_driver(
 ClusteringResult ClusterEngine::h3_importance(double importance_threshold,
                                               double influence_threshold) {
   const std::size_t n = sw_->node_count();
-  FCM_REQUIRE(options_.target_clusters <= n,
-              "more clusters requested than SW nodes");
-  // Seeds: the target_clusters most important nodes.
+  // Seeds: the target_clusters most important nodes (every node when the
+  // target exceeds the node count: spare HW nodes, as H1 accepts them).
+  const std::size_t seeds = std::min(options_.target_clusters, n);
   std::vector<graph::NodeIndex> order(n);
   for (std::size_t v = 0; v < n; ++v) {
     order[v] = static_cast<graph::NodeIndex>(v);
@@ -1291,7 +1135,7 @@ ClusteringResult ClusterEngine::h3_importance(double importance_threshold,
             });
   std::vector<bool> is_seed(n, false);
   std::vector<std::string> steps;
-  for (std::size_t k = 0; k < options_.target_clusters; ++k) {
+  for (std::size_t k = 0; k < seeds; ++k) {
     is_seed[order[k]] = true;
     if (options_.log_steps) {
       steps.push_back("seed " + sw_->node(order[k]).name + " (importance " +
@@ -1300,10 +1144,9 @@ ClusteringResult ClusterEngine::h3_importance(double importance_threshold,
   }
 
   graph::Partition partition = graph::Partition::identity(n);
-  quotient_cache_.reset(*sw_, partition, options_.incremental_quotient);
-  const bool memo = options_.use_influence_cache;
+  quotient_cache_.reset(*sw_, partition);
   // Attach non-seeds (most important first) to their best seed cluster.
-  for (std::size_t k = options_.target_clusters; k < n; ++k) {
+  for (std::size_t k = seeds; k < n; ++k) {
     const graph::NodeIndex v = order[k];
     const auto groups = partition.groups();
     const std::uint32_t v_cluster = partition.cluster_of[v];
@@ -1314,7 +1157,7 @@ ClusteringResult ClusterEngine::h3_importance(double importance_threshold,
       const std::uint32_t c = partition.cluster_of[s];
       if (c == v_cluster) continue;
       const double m = quotient_cache_.mutual(groups[v_cluster].front(),
-                                              groups[c].front(), memo);
+                                              groups[c].front());
       const bool admitted =
           sw_->node(v).importance < importance_threshold ||
           m > influence_threshold;

@@ -31,7 +31,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/influence.h"
 #include "graph/quotient.h"
 #include "mapping/swgraph.h"
 #include "sched/feasibility.h"
@@ -50,31 +49,10 @@ struct ClusteringOptions {
   /// hosted by at least one HW node (prevents merging modules whose joint
   /// needs fit nowhere). Null = no resource constraint during clustering.
   std::function<bool(const std::set<std::string>&)> resource_check;
-  /// Memoize cluster-pair influence across heuristic iterations (the full
-  /// H1 scan, H1-rounds and H3, which ask for a pair again; the pair heap
-  /// asks for each pair once and reads the bundles directly). The cached
-  /// and uncached paths produce bitwise-identical results (both combine the
-  /// same edge weights in ascending edge order); the flag exists so the
-  /// differential tests can prove it. Leave on.
-  bool use_influence_cache = true;
-  /// Select the greedy merge pair (H1 and the H2 repair phase) through a
-  /// lazy-deletion max-heap instead of rescanning all O(k²) cluster pairs
-  /// after every merge; only pairs touching the merged cluster are
-  /// recomputed. Both paths produce identical merge sequences, step logs,
-  /// and partitions (differentially tested); the scan remains as the
-  /// reference. Leave on.
-  bool use_pair_heap = true;
-  /// Incremental quotient maintenance: a merge delta-updates only the
-  /// bundles and heap candidates adjacent to the merged cluster (tracked
-  /// through a per-representative neighbor index) instead of rescanning
-  /// every bundle and re-pushing a candidate for every live cluster.
-  /// Cluster pairs with zero mutual influence are then reached through a
-  /// deterministic fallback scan once the heap drains — sound because a
-  /// positive-mutual pair is always heap-resident until popped, and a
-  /// popped pair that failed can_combine stays uncombinable until one of
-  /// its clusters changes (which re-inserts it). `false` restores the
-  /// full-rebuild behavior; both modes produce bitwise-identical merge
-  /// sequences, partitions, and quotients (differentially tested).
+  /// Must stay true: the greedy merge loops always maintain the quotient
+  /// incrementally, and ClusterEngine rejects false with InvalidArgument.
+  /// Kept only because the benchmark (bench/e2e/plan.cpp) still copies
+  /// PlanOptions::incremental_quotient into it.
   bool incremental_quotient = true;
   /// Record the human-readable step log in ClusteringResult::steps. No
   /// plan, report or serve answer prints it, and at thousands of nodes the
@@ -190,66 +168,40 @@ class ClusterEngine {
     return oracle_.analyses();
   }
 
-  /// Hit/miss/invalidation counters of the cluster-pair influence cache,
-  /// accumulated over every heuristic run on this engine.
-  [[nodiscard]] const core::CacheStats& influence_cache_stats()
-      const noexcept {
-    return quotient_cache_.stats();
-  }
-
-  /// Incremental cluster-pair influence under a shrinking partition.
+  /// Cluster-pair influence bundles under a shrinking partition.
   ///
-  /// The greedy heuristics (H1, H3, the H2 repair phase) previously rebuilt
-  /// the full quotient influence graph from every SW edge on every merge
-  /// iteration. This cache maintains, per ordered cluster pair, the sorted
-  /// list of SW influence edges crossing the pair (replica links excluded)
-  /// plus a memo of the Eq. 4 probabilistic combination. Clusters are keyed
-  /// by their *representative* — the smallest member node index — which is
-  /// stable under merging (the union's representative is the min of the two
-  /// inputs). A merge folds the two clusters' bundles and invalidates only
-  /// the memo entries touching them; every other pair's value survives.
-  /// Combination multiplies weights in ascending edge order, exactly the
-  /// order `influence_quotient` uses, so cached, uncached, and full-rebuild
-  /// values are bitwise identical.
+  /// Per ordered cluster pair, the ascending list of SW influence edges
+  /// crossing the pair (replica links excluded), plus an index of each
+  /// cluster's bundle neighbors. Clusters are keyed by their
+  /// *representative* — the smallest member node index — which is stable
+  /// under merging (the union's representative is the min of the two
+  /// inputs). A merge folds the two clusters' bundles, finding the affected
+  /// ones through the neighbor index in O(degree). `mutual` multiplies
+  /// weights in ascending edge order, exactly the order
+  /// `influence_quotient` uses, so its values equal a fresh rebuild's
+  /// bitwise.
   ///
-  /// Public (rather than an implementation detail) so the incremental-vs-
-  /// rebuild property tests can drive merges directly and compare against
-  /// an independently rebuilt quotient.
+  /// Public (rather than an implementation detail) so the property tests
+  /// can drive merges directly and compare against a cache freshly reset on
+  /// the merged partition.
   class QuotientCache {
    public:
-    /// Rebuilds bundles and the neighbor index for the partition; keeps
-    /// accumulated stats. `incremental` selects the merge maintenance mode
-    /// (see ClusteringOptions::incremental_quotient); both modes yield
-    /// identical bundles, memo contents, and neighbor indices.
-    void reset(const SwGraph& sw, const graph::Partition& partition,
-               bool incremental = true);
+    /// Rebuilds bundles and the neighbor index for the partition.
+    void reset(const SwGraph& sw, const graph::Partition& partition);
     /// Mutual influence between the clusters represented by `rep_a` and
-    /// `rep_b` (Eq. 4 combination per direction, summed). `memoize` off
-    /// recomputes from the bundles without touching the memo or stats.
+    /// `rep_b` (Eq. 4 combination per direction, summed).
     [[nodiscard]] double mutual(graph::NodeIndex rep_a,
-                                graph::NodeIndex rep_b, bool memoize);
-    /// Folds the two clusters' bundles after a partition merge. In
-    /// incremental mode the affected bundles are found through the
-    /// neighbor index in O(degree); in rebuild mode every bundle is
-    /// scanned, as the original implementation did.
+                                graph::NodeIndex rep_b) const;
+    /// Folds the two clusters' bundles after a partition merge.
     void merge(graph::NodeIndex rep_a, graph::NodeIndex rep_b);
     /// Representatives whose clusters share at least one crossing influence
     /// edge with `rep`'s cluster, ascending. Pairs not listed here have
     /// mutual influence exactly 0.0.
     [[nodiscard]] const std::vector<graph::NodeIndex>& neighbors(
         graph::NodeIndex rep) const;
-    [[nodiscard]] const core::CacheStats& stats() const noexcept {
-      return stats_;
-    }
 
    private:
-    [[nodiscard]] double directed(graph::NodeIndex rep_from,
-                                  graph::NodeIndex rep_to, bool memoize);
     [[nodiscard]] double combine(std::uint64_t key) const;
-    void merge_scan_all(graph::NodeIndex rep_a, graph::NodeIndex rep_b,
-                        graph::NodeIndex merged);
-    void merge_incremental(graph::NodeIndex rep_a, graph::NodeIndex rep_b,
-                           graph::NodeIndex merged);
     /// Moves bundle `key` (if present) into `target`, folding into any
     /// bundle already there (merge of two ascending runs stays ascending).
     void fold_bundle_into(std::uint64_t key, std::uint64_t target);
@@ -260,16 +212,8 @@ class ClusterEngine {
                                       graph::NodeIndex merged);
 
     const SwGraph* sw_ = nullptr;
-    bool incremental_ = true;
     // (rep_from << 32 | rep_to) -> ascending indices into sw edges().
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> bundles_;
-    std::unordered_map<std::uint64_t, double> combined_;
-    // Memo keys touching each representative (indexed by representative),
-    // so merge() invalidates by direct lookup instead of scanning the whole
-    // memo (the memo holds up to all cluster pairs; a full scan per merge
-    // dominated H1 at scale). Entries may be stale — erasing a key that is
-    // already gone is a no-op.
-    std::vector<std::vector<std::uint64_t>> memo_keys_by_rep_;
     // Representative -> sorted bundle-neighbor representatives (either
     // direction). Maintained exactly (no stale entries) by reset/merge.
     std::vector<std::vector<graph::NodeIndex>> adjacency_;
@@ -279,9 +223,6 @@ class ClusterEngine {
     std::vector<std::vector<std::uint32_t>> bundle_pool_;
     std::vector<graph::NodeIndex> affected_scratch_;
     std::vector<graph::NodeIndex> adjacency_scratch_;
-    std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>>
-        moved_scratch_;
-    core::CacheStats stats_;
   };
 
  private:
@@ -309,21 +250,13 @@ class ClusterEngine {
   };
   /// Merges the highest-mutual-influence combinable pair until the target
   /// cluster count, appending one step per merge when `log_steps` is set.
-  /// `partition` must number its clusters by ascending smallest member (as
-  /// Partition::identity and Partition::merge do). Dispatches to the pair
-  /// heap or the full rescan per `options_.use_pair_heap`; both paths pick
-  /// identical pairs (max mutual influence, ties broken toward the lowest
-  /// cluster indices). Throws Infeasible with `infeasible_what` context
-  /// when no combinable pair remains.
+  /// Ties break toward the lowest cluster indices. `partition` must number
+  /// its clusters by ascending smallest member (as Partition::identity and
+  /// Partition::merge do), and the quotient cache must be reset on it.
+  /// Throws Infeasible when no combinable pair remains.
   void greedy_merge_to_target(graph::Partition& partition,
                               std::vector<std::string>& steps,
                               GreedyStepStyle style);
-  void greedy_merge_scan(graph::Partition& partition,
-                         std::vector<std::string>& steps,
-                         GreedyStepStyle style);
-  void greedy_merge_heap(graph::Partition& partition,
-                         std::vector<std::string>& steps,
-                         GreedyStepStyle style);
   [[nodiscard]] static std::string greedy_step_text(GreedyStepStyle style,
                                                     const std::string& a_names,
                                                     const std::string& b_names,

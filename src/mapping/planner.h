@@ -71,10 +71,8 @@ struct PlanOptions {
   /// (0 = FCM_THREADS / hardware concurrency). Plans are bitwise identical
   /// for every value.
   std::uint32_t cluster_threads = 0;
-  /// Quotient maintenance mode for the greedy merge loops (see
-  /// ClusteringOptions::incremental_quotient). Both settings produce
-  /// bitwise-identical plans; `false` is the full-rebuild reference the CI
-  /// differential gate compares against.
+  /// Must stay true; copied into ClusteringOptions::incremental_quotient
+  /// (see there).
   bool incremental_quotient = true;
   /// Part count for kH1Hierarchical (0 = auto).
   std::size_t hierarchy_parts = 0;

@@ -14,7 +14,7 @@
 // Determinism: every candidate is scored by `run_campaign` under the PR-4
 // contract (substream RNG, block-ordered folds), the search RNG derives
 // from a reserved substream of the same seed, neighbor ties break on the
-// canonical scenario encoding, and evaluations are memoized by that
+// canonical scenario encoding, and evaluations are cached under that
 // encoding — the emitted report is byte-identical for every FCM_THREADS.
 //
 // Two restarts are informed rather than random: restart 0 descends from
@@ -67,7 +67,7 @@ struct AdversaryResult {
   /// Whether the search found a schedule strictly below the grid minimum.
   bool beats_grid = false;
   std::uint64_t evaluations = 0;  ///< campaign evaluations actually run
-  std::uint64_t cache_hits = 0;   ///< memoized re-visits avoided
+  std::uint64_t cache_hits = 0;   ///< cached re-visits avoided
   /// Compositional bounds (bounds.h) on the worst scenario's critical
   /// survival, and whether the sampled figure is compatible with them
   /// (within a 99% binomial half-width).

@@ -264,9 +264,9 @@ ResilienceReport run_campaign(const mapping::SwGraph& sw,
 
   const std::uint32_t block_size = options.trials_per_block;
   const std::uint32_t blocks_per_scenario =
-      (options.trials + block_size - 1) / block_size;
-  const std::uint32_t total_blocks =
-      static_cast<std::uint32_t>(scenarios.size()) * blocks_per_scenario;
+      exec::block_count(options.trials, block_size);
+  const std::uint64_t total_blocks =
+      std::uint64_t{scenarios.size()} * blocks_per_scenario;
   const std::uint32_t threads =
       exec::resolve_threads(options.threads, total_blocks);
 
@@ -275,13 +275,12 @@ ResilienceReport run_campaign(const mapping::SwGraph& sw,
   const Rng master(seed);
   std::vector<BlockTally> tallies(total_blocks);
   exec::parallel_for_blocks(
-      total_blocks, threads, [&](std::uint64_t gb, std::uint32_t /*lane*/) {
-        const std::uint32_t g = static_cast<std::uint32_t>(gb);
-        const std::uint32_t s = g / blocks_per_scenario;
-        const std::uint32_t b = g % blocks_per_scenario;
+      total_blocks, threads, [&](std::uint64_t g, std::uint32_t /*lane*/) {
+        const std::uint64_t s = g / blocks_per_scenario;
+        const auto b = static_cast<std::uint32_t>(g % blocks_per_scenario);
         const std::uint32_t first = b * block_size;
         const std::uint32_t last =
-            std::min(options.trials, first + block_size);
+            exec::block_end(options.trials, block_size, b);
         FCM_OBS_SPAN("resilience.block", g);
         run_block(scenarios[s], compiled, processes, process_of_node,
                   host_crashed[s], options, master.substream(g), first, last,

@@ -202,13 +202,12 @@ RareEventEstimate estimate_rare_event(const mapping::SwGraph& sw,
       tilt = level_tilt;
       const std::uint32_t pilot_trials = std::max(1u, options.pilot_trials);
       const std::uint32_t pilot_blocks =
-          (pilot_trials + options.trials_per_block - 1) /
-          options.trials_per_block;
+          exec::block_count(pilot_trials, options.trials_per_block);
       std::uint64_t pilot_hits = 0;
       for (std::uint32_t b = 0; b < pilot_blocks; ++b) {
         const std::uint32_t first = b * options.trials_per_block;
         const std::uint32_t last =
-            std::min(pilot_trials, first + options.trials_per_block);
+            exec::block_end(pilot_trials, options.trials_per_block, b);
         BlockTally tally;
         run_block(sw, partition, assignment, hw.node_count(), options,
                   processes, tilt,
@@ -229,7 +228,7 @@ RareEventEstimate estimate_rare_event(const mapping::SwGraph& sw,
   // folds — the standard determinism contract. ----
   const std::uint32_t block_size = options.trials_per_block;
   const std::uint32_t block_count =
-      (options.trials + block_size - 1) / block_size;
+      exec::block_count(options.trials, block_size);
   const std::uint32_t threads =
       exec::resolve_threads(options.threads, block_count);
 
@@ -245,7 +244,7 @@ RareEventEstimate estimate_rare_event(const mapping::SwGraph& sw,
         const std::uint32_t block = static_cast<std::uint32_t>(b);
         const std::uint32_t first = block * block_size;
         const std::uint32_t last =
-            std::min(options.trials, first + block_size);
+            exec::block_end(options.trials, block_size, block);
         FCM_OBS_SPAN("rare_event.block", block);
         run_block(sw, partition, assignment, hw.node_count(), options,
                   processes, tilt, master.substream(block), first, last,

@@ -68,7 +68,7 @@ struct ResilienceReport {
   /// thread-invariant, and to_json deliberately omits this one so reports
   /// from different thread counts serialize identically.
   std::uint32_t threads_used = 0;
-  std::uint32_t blocks = 0;
+  std::uint64_t blocks = 0;  ///< scenarios × blocks per scenario
   std::vector<ScenarioResult> scenarios;
 
   /// The weakest critical-service figure across scenarios (1.0 when empty).

@@ -39,7 +39,7 @@ const char* to_string(Policy policy) noexcept;
 bool mixed_feasible(const std::vector<Job>& oneshot,
                     const std::vector<PeriodicTask>& periodic);
 
-/// Answers (and memoizes) "is this job set single-processor schedulable
+/// Answers (and caches the verdict of) "is this job set single-processor schedulable
 /// under the policy?". Job sets are identified by the multiset of member
 /// timing triples, so permuted queries hit the cache.
 class FeasibilityOracle {

@@ -9,7 +9,7 @@
 // connection-level failures (connect/send/recv errors, EOF before a
 // response) and the two explicitly-retryable statuses, kOverloaded and
 // kShuttingDown, with exponential backoff and seeded deterministic jitter.
-// This is safe by construction — every query is a pure memoized function of
+// This is safe by construction — every query is a pure, cached function of
 // its payload, so a retried kOk response is byte-identical to what the
 // first attempt would have returned. Statuses that signal a defect in the
 // request itself (kBadRequest, kUnknownOpcode, ...) are never retried.

@@ -2,8 +2,8 @@
 //
 // One-shot `fcm_tool` runs rebuild graphs, caches, and plans from scratch
 // on every invocation; the resident daemon answers the same queries over a
-// socket while keeping the model fleet, the separation/quotient caches, and
-// the `fcm::exec` pool warm. The protocol is deliberately tiny — a
+// socket while keeping the model fleet, the separation cache, the computed
+// plans and the `fcm::exec` pool warm. The protocol is deliberately tiny — a
 // length-prefixed binary framing with text payloads — so that clients in
 // any language are a few dozen lines and the robustness surface (what a
 // malformed peer can do to the server) stays auditable:

@@ -132,16 +132,11 @@ int hw_nodes(const cli::Options& params) {
   return hw;
 }
 
-/// quotient=incremental|rebuild selects the planner's quotient maintenance
-/// mode (PlanOptions::incremental_quotient). Both modes produce
-/// byte-identical plans; exposing the switch lets CI compare them through
-/// the public surface.
-bool parse_quotient(const cli::Options& params) {
-  const std::string mode = params.get("quotient", "incremental");
-  if (mode == "incremental") return true;
-  if (mode == "rebuild") return false;
-  throw QueryError("unknown quotient mode '" + mode +
-                   "' (want incremental|rebuild)");
+/// A non-negative count parameter (trials, threads, restarts, ...);
+/// negative values are request errors rather than 32-bit wraparounds.
+std::uint32_t count_param(const cli::Options& params, const std::string& key,
+                          int fallback) {
+  return as_query_error([&] { return params.get_count(key, fallback); });
 }
 
 mapping::Heuristic parse_heuristic(const std::string& name) {
@@ -202,9 +197,8 @@ std::vector<HwNodeId> parse_failed(const std::string& list,
 
 }  // namespace
 
-/// One model×platform resident state: the planner (whose separation/
-/// quotient memo stays warm across requests) plus every plan it has
-/// computed. `mutex` serializes planning; evaluation of a cached plan
+/// One model×platform resident state: the planner (whose separation memo
+/// stays warm across requests) plus every plan it has computed. `mutex` serializes planning; evaluation of a cached plan
 /// runs outside the lock.
 struct QueryEngine::PlatformState {
   mapping::HwGraph hw;
@@ -214,17 +208,15 @@ struct QueryEngine::PlatformState {
 
   PlatformState(const core::FcmHierarchy& hierarchy,
                 const core::InfluenceModel& influence,
-                std::vector<FcmId> processes, int nodes,
-                std::uint32_t sweep_threads, bool incremental_quotient)
+                std::vector<FcmId> processes, int nodes)
       : hw(mapping::HwGraph::complete(nodes)),
         planner(hierarchy, influence, std::move(processes), hw,
-                make_options(sweep_threads, incremental_quotient)) {}
+                resident_options()) {}
 
-  static mapping::PlanOptions make_options(std::uint32_t sweep_threads,
-                                           bool incremental_quotient) {
+  /// The resident planner sweeps heuristics on every core.
+  static mapping::PlanOptions resident_options() {
     mapping::PlanOptions options;
-    options.sweep_threads = sweep_threads;
-    options.incremental_quotient = incremental_quotient;
+    options.sweep_threads = 0;
     return options;
   }
 
@@ -252,27 +244,24 @@ struct QueryEngine::PlatformState {
 QueryEngine::QueryEngine() : instance_(core::example98::make_instance()) {}
 QueryEngine::~QueryEngine() = default;
 
-QueryEngine::PlatformState& QueryEngine::platform(
-    const std::string& model, int hw, bool incremental_quotient) {
+QueryEngine::PlatformState& QueryEngine::platform(const std::string& model,
+                                                  int hw) {
   const std::lock_guard<std::mutex> lock(platforms_mutex_);
-  const auto key = std::make_tuple(model, hw, incremental_quotient);
+  const auto key = std::make_pair(model, hw);
   auto it = platforms_.find(key);
   if (it == platforms_.end()) {
     std::unique_ptr<PlatformState> state;
     std::size_t n = 0;
     std::uint64_t seed = 0;
     if (parse_synthetic(model, &n, &seed)) {
-      // Generated fresh per (model, hw, quotient) platform; the planner's
-      // SwGraph keeps everything it needs, so the System itself is
-      // transient.
+      // Generated fresh per (model, hw) platform; the planner's SwGraph
+      // keeps everything it needs, so the System itself is transient.
       const core::synthetic::System sys = core::synthetic::make_system(n, seed);
       state = std::make_unique<PlatformState>(sys.hierarchy, sys.influence,
-                                              sys.processes, hw, /*sweep=*/0,
-                                              incremental_quotient);
+                                              sys.processes, hw);
     } else {
       state = std::make_unique<PlatformState>(
-          instance_.hierarchy, instance_.influence, instance_.processes, hw,
-          /*sweep=*/0, incremental_quotient);
+          instance_.hierarchy, instance_.influence, instance_.processes, hw);
     }
     it = platforms_.emplace(key, std::move(state)).first;
   }
@@ -346,11 +335,9 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
 
     case protocol::Opcode::kMapping: {
       const cli::Options params = parse_params(
-          payload, {"model", "hw", "heuristic", "approach", "sweep_threads",
-                    "quotient"});
+          payload, {"model", "hw", "heuristic", "approach", "sweep_threads"});
       const std::string model = model_name(params);
       const int hw = hw_nodes(params);
-      const bool incremental = parse_quotient(params);
       const mapping::Approach approach =
           parse_approach(params.get("approach", "a"));
       const std::string heuristic = params.get("heuristic", "best");
@@ -359,7 +346,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
       // resident planner caches plans instead, so only the value's shape
       // matters here (the plan bytes are thread-invariant either way).
       as_query_error([&] { return params.get_int("sweep_threads", 0); });
-      PlatformState& state = platform(model, hw, incremental);
+      PlatformState& state = platform(model, hw);
       const mapping::Plan& plan = state.plan_for(heuristic, approach);
       return {plan.report(state.planner.sw_graph(), state.hw),
               plan.quality.constraints_satisfied()};
@@ -370,19 +357,17 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
           payload, {"model", "hw", "q", "trials", "threads"});
       check_model(params);
       const int hw = hw_nodes(params);
-      PlatformState& state = platform("example98", hw, true);
+      PlatformState& state = platform("example98", hw);
       const mapping::Plan& plan =
           state.plan_for("best", mapping::Approach::kAImportance);
       dependability::MissionModel mission;
       as_query_error([&] {
         mission.hw_failure =
             Probability(params.get_double("q", kDefaultHwFailure));
-        mission.trials = static_cast<std::uint32_t>(
-            params.get_int("trials", kDefaultTrials));
-        mission.threads =
-            static_cast<std::uint32_t>(params.get_int("threads", 0));
         return 0;
       });
+      mission.trials = count_param(params, "trials", kDefaultTrials);
+      mission.threads = count_param(params, "threads", 0);
       if (mission.trials == 0) throw QueryError("trials must be positive");
       const auto report = dependability::evaluate_mapping(
           state.planner.sw_graph(), plan.clustering, plan.assignment,
@@ -408,7 +393,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
           payload, {"model", "hw", "fail", "heuristic", "approach"});
       check_model(params);
       const int hw = hw_nodes(params);
-      PlatformState& state = platform("example98", hw, true);
+      PlatformState& state = platform("example98", hw);
       const mapping::Approach approach =
           parse_approach(params.get("approach", "a"));
       const mapping::Plan& plan =
@@ -428,26 +413,19 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
                     "anneal", "seed"});
       const std::string model = model_name(params);
       const int hw = hw_nodes(params);
-      PlatformState& state = platform(model, hw, true);
+      PlatformState& state = platform(model, hw);
       const mapping::Plan& plan =
           state.plan_for("best", mapping::Approach::kAImportance);
       resilience::AdversaryOptions options;
       std::uint64_t seed = kDependSeed;
+      options.campaign.trials = count_param(params, "trials", 96);
+      options.campaign.threads = count_param(params, "threads", 0);
+      options.restarts = count_param(params, "restarts", 3);
+      options.iterations = count_param(params, "iterations", 16);
+      options.neighbors = count_param(params, "neighbors", 6);
+      options.max_events = count_param(params, "max_events", 3);
+      options.max_crashes = count_param(params, "max_crashes", 2);
       as_query_error([&] {
-        options.campaign.trials = static_cast<std::uint32_t>(
-            params.get_int("trials", 96));
-        options.campaign.threads =
-            static_cast<std::uint32_t>(params.get_int("threads", 0));
-        options.restarts =
-            static_cast<std::uint32_t>(params.get_int("restarts", 3));
-        options.iterations =
-            static_cast<std::uint32_t>(params.get_int("iterations", 16));
-        options.neighbors =
-            static_cast<std::uint32_t>(params.get_int("neighbors", 6));
-        options.max_events =
-            static_cast<std::uint32_t>(params.get_int("max_events", 3));
-        options.max_crashes =
-            static_cast<std::uint32_t>(params.get_int("max_crashes", 2));
         options.anneal = params.get_int("anneal", 0) != 0;
         seed = static_cast<std::uint64_t>(
             params.get_int("seed", static_cast<int>(kDependSeed)));
@@ -469,23 +447,19 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
                     "levels", "seed"});
       const std::string model = model_name(params);
       const int hw = hw_nodes(params);
-      PlatformState& state = platform(model, hw, true);
+      PlatformState& state = platform(model, hw);
       const mapping::Plan& plan =
           state.plan_for("best", mapping::Approach::kAImportance);
       resilience::RareEventOptions options;
       std::uint64_t seed = kDependSeed;
+      options.trials = count_param(params, "trials", 10'000);
+      options.threads = count_param(params, "threads", 0);
+      options.pilot_trials = count_param(params, "pilot", 512);
+      options.max_levels = count_param(params, "levels", 6);
       as_query_error([&] {
         options.hw_failure =
             Probability(params.get_double("q", kDefaultHwFailure));
-        options.trials = static_cast<std::uint32_t>(
-            params.get_int("trials", 10'000));
-        options.threads =
-            static_cast<std::uint32_t>(params.get_int("threads", 0));
         options.tilt = params.get_double("tilt", 0.0);
-        options.pilot_trials =
-            static_cast<std::uint32_t>(params.get_int("pilot", 512));
-        options.max_levels =
-            static_cast<std::uint32_t>(params.get_int("levels", 6));
         seed = static_cast<std::uint64_t>(
             params.get_int("seed", static_cast<int>(kDependSeed)));
         return 0;

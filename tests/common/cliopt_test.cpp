@@ -66,6 +66,15 @@ TEST(CliOpt, NegativeAndScientificValuesParse) {
   EXPECT_DOUBLE_EQ(options.get_double("q", 0.0), 1e-3);
 }
 
+TEST(CliOpt, NegativeCountsThrowInsteadOfWrapping) {
+  // A cast of get_int to uint32 turned "-1" into 4294967295.
+  const Options options = parse({"--threads", "-1", "--q", "0"}, kSpecs);
+  EXPECT_THROW((void)options.get_count("threads", 1), CliError);
+  EXPECT_EQ(options.get_count("q", 5), 0u);
+  EXPECT_EQ(options.get_count("missing", 7), 7u);
+  EXPECT_THROW((void)options.get_count("missing", -1), CliError);
+}
+
 TEST(CliOpt, TrailingValuedOptionThrows) {
   // The old loop's `i + 1 < argc` guard silently dropped a trailing flag.
   EXPECT_THROW((void)parse({"--threads"}, kSpecs), CliError);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/ksum.h"
 #include "common/simd.h"
@@ -111,6 +112,28 @@ TEST(MonteCarloParallel, BitwiseIdenticalAcrossSimdBackends) {
     }
   }
   simd::set_backend(saved);
+}
+
+TEST(MonteCarloParallel, MaximalBlockSizeIsOneBlock) {
+  // A block size of UINT32_MAX must not wrap the block arithmetic: it is
+  // one block drawn from substream(0), exactly like a block size equal to
+  // the trial count.
+  Fixture fx;
+  MissionModel mission;
+  mission.hw_failure = Probability(0.2);
+  mission.sw_fault = Probability(0.05);
+  mission.propagate = true;
+  for (const std::uint32_t trials : {2u, 5'000u}) {
+    mission.trials = trials;
+    mission.trials_per_block = trials;
+    const DependabilityReport reference = fx.run(mission, 11);
+    mission.trials_per_block = UINT32_MAX;
+    const DependabilityReport huge = fx.run(mission, 11);
+    EXPECT_EQ(reference.blocks, 1u);
+    EXPECT_EQ(huge.blocks, 1u);
+    EXPECT_EQ(huge.trials, trials);
+    expect_identical(reference, huge);
+  }
 }
 
 TEST(MonteCarloParallel, ThreadCountIsClampedToBlockCount) {

@@ -1,12 +1,13 @@
-// Differential tests for the greedy-merge pair heap: with
-// `use_pair_heap` on, H1 (and the H2 repair phase, which shares the loop)
-// must produce byte-identical step logs, partitions, and quotients to the
-// full O(k²) rescan — including which Infeasible cases are hit.
+// Differential tests for the greedy-merge pair heap: H1 (and the H2 repair
+// phase, which shares the loop) must produce byte-identical step logs and
+// partitions to the full O(k²) rescan kept in h1_scan_reference.h —
+// including which Infeasible cases are hit.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/example98.h"
+#include "h1_scan_reference.h"
 #include "mapping/clustering.h"
 
 namespace fcm::mapping {
@@ -51,52 +52,60 @@ RandomSystem random_system(std::uint64_t seed) {
   return sys;
 }
 
-// Runs `method` once with the heap and once with the scan; both must agree
-// on outcome (result vs Infeasible), step log, partition, and quotient.
-template <typename Method>
-void expect_identical(const SwGraph& sw, std::size_t target, Method method,
+// Runs the engine's `method` and the test-side scan from the engine loop's
+// start partition; both must agree on outcome (result vs Infeasible), step
+// log, partition, and quotient. H1 starts from the identity; H2's repair
+// phase starts from the engine's final partition with its logged
+// repair-merges undone.
+void expect_identical(const SwGraph& sw, std::size_t target,
+                      ClusteringResult (ClusterEngine::*method)(),
                       const char* what) {
   ClusteringOptions options;
   options.target_clusters = target;
   options.log_steps = true;  // the step logs are compared below
+  ClusterEngine engine(sw, options);
+  const bool h1 = method == &ClusterEngine::h1_greedy;
 
-  options.use_pair_heap = false;
-  ClusterEngine scan_engine(sw, options);
-  options.use_pair_heap = true;
-  ClusterEngine heap_engine(sw, options);
-
-  bool scan_infeasible = false;
-  std::string scan_message;
-  ClusteringResult scan_result;
-  try {
-    scan_result = (scan_engine.*method)();
-  } catch (const Infeasible& e) {
-    scan_infeasible = true;
-    scan_message = e.what();
-  }
   bool heap_infeasible = false;
   std::string heap_message;
   ClusteringResult heap_result;
   try {
-    heap_result = (heap_engine.*method)();
+    heap_result = (engine.*method)();
   } catch (const Infeasible& e) {
     heap_infeasible = true;
     heap_message = e.what();
   }
-
-  ASSERT_EQ(scan_infeasible, heap_infeasible)
-      << what << " target " << target << ": paths disagree on feasibility";
-  if (scan_infeasible) {
-    EXPECT_EQ(scan_message, heap_message) << what << " target " << target;
+  if (heap_infeasible && !h1) {
+    // No final partition to undo; the H1 cases and the feasible H2 cases
+    // carry the comparison.
+    EXPECT_EQ(heap_message, "H2: repair phase cannot re-merge to the target")
+        << what << " target " << target;
     return;
   }
-  EXPECT_EQ(scan_result.steps, heap_result.steps)
+
+  const std::vector<std::string> heap_steps =
+      h1 ? heap_result.steps
+         : reference::steps_starting_with(heap_result.steps, "repair-merge ");
+  const graph::Partition start =
+      h1 ? graph::Partition::identity(sw.node_count())
+         : reference::undo_merges(sw, heap_result.partition, heap_steps);
+  const reference::ScanOutcome scan = reference::scan_merge_to_target(
+      sw, options, start,
+      h1 ? reference::ScanStyle::kCombine
+         : reference::ScanStyle::kRepairMerge);
+
+  ASSERT_EQ(scan.infeasible, heap_infeasible)
+      << what << " target " << target << ": paths disagree on feasibility";
+  if (scan.infeasible) {
+    EXPECT_EQ(scan.message, heap_message) << what << " target " << target;
+    return;
+  }
+  EXPECT_EQ(scan.steps, heap_steps) << what << " target " << target;
+  EXPECT_EQ(scan.partition.cluster_of, heap_result.partition.cluster_of)
       << what << " target " << target;
-  EXPECT_EQ(scan_result.partition.cluster_of, heap_result.partition.cluster_of)
+  EXPECT_EQ(reference::cross_cluster_influence(sw, scan.partition),
+            heap_result.cross_cluster_influence())
       << what << " target " << target;
-  EXPECT_EQ(scan_result.cluster_names(sw), heap_result.cluster_names(sw));
-  EXPECT_EQ(scan_result.cross_cluster_influence(),
-            heap_result.cross_cluster_influence());
 }
 
 TEST(H1PairHeap, MatchesScanOnExample98AtEveryTarget) {

@@ -1,9 +1,10 @@
 // Tests for hierarchical H1 (partition → cluster within parts in parallel →
 // merge across parts). The determinism contract is the load-bearing part:
-// bitwise-identical results for every worker-thread count, for one part vs
-// many, and for incremental vs rebuild quotient maintenance; plus the
-// zero-mutual fallback differential that pins the incremental heap to the
-// scan reference on disconnected influence graphs.
+// bitwise-identical results for every worker-thread count and for one part
+// vs many; plus differentials that pin the pair heap to the test-side scan
+// (h1_scan_reference.h) — on h1h's cross-part merge, on flat H1 at 128
+// processes, and on the zero-mutual fallback over disconnected influence
+// graphs.
 #include "mapping/clustering.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "common/probability.h"
 #include "core/example98.h"
 #include "core/synthetic.h"
+#include "h1_scan_reference.h"
 #include "mapping/planner.h"
 #include "serve/protocol.h"
 #include "serve/query.h"
@@ -25,6 +27,19 @@ void expect_identical(const ClusteringResult& a, const ClusteringResult& b) {
   EXPECT_EQ(a.partition.cluster_count, b.partition.cluster_count);
   EXPECT_EQ(a.partition.cluster_of, b.partition.cluster_of);
   EXPECT_EQ(a.steps, b.steps);
+}
+
+// The test-side scan, run from `start`, must reproduce the engine's logged
+// `merges` and its final partition.
+void expect_scan_reproduces(const SwGraph& sw, const ClusteringOptions& opts,
+                            const graph::Partition& start,
+                            const std::vector<std::string>& merges,
+                            const ClusteringResult& result) {
+  const reference::ScanOutcome scan = reference::scan_merge_to_target(
+      sw, opts, start, reference::ScanStyle::kCombine);
+  ASSERT_FALSE(scan.infeasible) << scan.message;
+  EXPECT_EQ(scan.steps, merges);
+  EXPECT_EQ(scan.partition.cluster_of, result.partition.cluster_of);
 }
 
 struct Scaled {
@@ -85,30 +100,48 @@ TEST(HierarchicalH1, SinglePartEqualsFlatH1) {
   expect_identical(hierarchical.h1_hierarchical(), flat.h1_greedy());
 }
 
-TEST(HierarchicalH1, QuotientModesBitwiseIdentical) {
-  const Scaled fx(256);
-  ClusteringOptions opts = fx.options(64);
-  opts.incremental_quotient = true;
-  ClusterEngine incremental(fx.sw, opts);
-  opts.incremental_quotient = false;
-  ClusterEngine rebuild(fx.sw, opts);
-  expect_identical(incremental.h1_hierarchical(), rebuild.h1_hierarchical());
+// The cross-part merge starts from the composed part clusterings: the
+// engine's final partition with its cross-part "combine" steps undone. At
+// target 8 the four parts' replica floors (3 each) push the local targets
+// to 12 in total, so the cross-part merge has real work to do.
+TEST(HierarchicalH1, CrossPartMergeMatchesScan) {
+  for (const std::uint64_t seed : {1u, 2u, 42u}) {
+    const Scaled fx(256, seed);
+    ClusteringOptions opts = fx.options(8);
+    opts.enforce_schedulability = true;
+    ClusterEngine engine(fx.sw, opts);
+    const ClusteringResult result = engine.h1_hierarchical();
+    const std::vector<std::string> merges =
+        reference::steps_starting_with(result.steps, "combine ");
+    ASSERT_FALSE(merges.empty()) << "seed " << seed;
+    expect_scan_reproduces(
+        fx.sw, opts, reference::undo_merges(fx.sw, result.partition, merges),
+        merges, result);
+  }
 }
 
-TEST(FlatH1, QuotientModesBitwiseIdentical) {
+TEST(FlatH1, MatchesScanAt128Processes) {
   const Scaled fx(128);
-  ClusteringOptions opts = fx.options(24);
-  opts.incremental_quotient = true;
-  ClusterEngine incremental(fx.sw, opts);
+  const ClusteringOptions opts = fx.options(24);
+  ClusterEngine engine(fx.sw, opts);
+  const ClusteringResult result = engine.h1_greedy();
+  expect_scan_reproduces(fx.sw, opts,
+                         graph::Partition::identity(fx.sw.node_count()),
+                         result.steps, result);
+}
+
+// The engine rejects the removed full-rebuild quotient mode.
+TEST(FlatH1, RejectsTheRemovedRebuildQuotientMode) {
+  const Scaled fx(16);
+  ClusteringOptions opts = fx.options(8);
+  EXPECT_NO_THROW((void)ClusterEngine(fx.sw, opts));
   opts.incremental_quotient = false;
-  ClusterEngine rebuild(fx.sw, opts);
-  expect_identical(incremental.h1_greedy(), rebuild.h1_greedy());
+  EXPECT_THROW((void)ClusterEngine(fx.sw, opts), InvalidArgument);
 }
 
 // Disconnected influence components force zero-mutual merges, the one spot
-// where the incremental heap leaves the heap for its fallback scan. The
-// fallback must reproduce the scan reference's first-wins selection
-// exactly.
+// where the engine leaves the heap for its fallback scan. The fallback must
+// reproduce the scan reference's first-wins selection exactly.
 TEST(FlatH1, ZeroMutualFallbackMatchesScan) {
   core::FcmHierarchy hierarchy;
   core::InfluenceModel influence;
@@ -139,12 +172,10 @@ TEST(FlatH1, ZeroMutualFallbackMatchesScan) {
   opts.target_clusters = 2;
   opts.enforce_schedulability = false;
   opts.log_steps = true;
-  opts.incremental_quotient = true;
-  opts.use_pair_heap = true;
-  ClusterEngine heap_engine(sw, opts);
-  opts.use_pair_heap = false;
-  ClusterEngine scan_engine(sw, opts);
-  expect_identical(heap_engine.h1_greedy(), scan_engine.h1_greedy());
+  ClusterEngine engine(sw, opts);
+  const ClusteringResult result = engine.h1_greedy();
+  expect_scan_reproduces(sw, opts, graph::Partition::identity(sw.node_count()),
+                         result.steps, result);
 }
 
 TEST(HierarchicalH1, PlannerRunsHeuristicEndToEnd) {

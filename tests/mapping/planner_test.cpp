@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 #include "core/example98.h"
 
@@ -112,6 +114,47 @@ TEST(Planner, ThreeNodePlatformIsInfeasibleForTmr) {
   IntegrationPlanner planner(instance.hierarchy, instance.influence,
                              instance.processes, hw2);
   EXPECT_THROW(planner.best_plan(), FcmError);
+}
+
+// More HW nodes than example98's 12 SW nodes: every heuristic leaves each
+// SW node on its own. H2, its s-t variation and H3 used to fail a
+// precondition here; their plans must equal H1's apart from the
+// heuristic-name line, and the best plan stays H1's.
+TEST(Planner, SpareHwNodesPlanUnderEveryHeuristic) {
+  core::example98::Instance instance = make_instance();
+  for (const int nodes : {13, 40}) {
+    const HwGraph hw = HwGraph::complete(nodes);
+    IntegrationPlanner planner(instance.hierarchy, instance.influence,
+                               instance.processes, hw);
+    const auto body = [&](const Plan& plan) {
+      const std::string text = plan.report(planner.sw_graph(), hw);
+      return text.substr(text.find('\n') + 1);
+    };
+    for (const Approach approach :
+         {Approach::kAImportance, Approach::kBLexicographic}) {
+      SCOPED_TRACE(std::to_string(nodes) + " HW nodes, approach " +
+                   to_string(approach));
+      const Plan h1 = planner.plan(Heuristic::kH1Greedy, approach);
+      EXPECT_EQ(h1.clustering.partition.cluster_count,
+                planner.sw_graph().node_count());
+      for (const Heuristic heuristic :
+           {Heuristic::kH1Rounds, Heuristic::kH1Hierarchical,
+            Heuristic::kH2MinCut, Heuristic::kH2StCut,
+            Heuristic::kH3Importance, Heuristic::kCriticalityPairing,
+            Heuristic::kTimingOrdered}) {
+        const Plan plan = planner.plan(heuristic, approach);
+        if (heuristic == Heuristic::kH2MinCut ||
+            heuristic == Heuristic::kH2StCut ||
+            heuristic == Heuristic::kH3Importance) {
+          EXPECT_EQ(body(plan), body(h1)) << to_string(heuristic);
+        }
+      }
+      const Plan best = planner.best_plan(approach);
+      EXPECT_EQ(best.heuristic, Heuristic::kH1Greedy);
+      EXPECT_EQ(best.report(planner.sw_graph(), hw),
+                h1.report(planner.sw_graph(), hw));
+    }
+  }
 }
 
 }  // namespace

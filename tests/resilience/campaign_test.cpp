@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,30 @@ TEST(Campaign, RemainderBlockFoldsIdenticallyAcrossThreadCounts) {
       EXPECT_NEAR(count, std::round(count), 1e-9) << p.name;
     }
   }
+}
+
+TEST(Campaign, MaximalBlockSizeIsOneBlockPerScenario) {
+  // A block size of UINT32_MAX must not wrap the block arithmetic: each
+  // scenario runs one block from the same substream as with a block size
+  // equal to the trial count, so only the trials_per_block field differs.
+  const Mapping& m = mapping98();
+  const FcmId p1 = m.instance.process(1);
+  const std::vector<Scenario> grid{crash_of(m, replicas_of(m, p1)[0]),
+                                   burst_on(m, replicas_of(m, p1)[0])};
+  CampaignOptions options;
+  options.trials = 24;
+  const auto run_with = [&](std::uint32_t block_size) {
+    options.trials_per_block = block_size;
+    return run_campaign(m.sw, m.plan.clustering.partition, m.plan.assignment,
+                        m.hw, grid, /*seed=*/2026, options);
+  };
+  const ResilienceReport reference = run_with(24);
+  ResilienceReport huge = run_with(UINT32_MAX);
+  EXPECT_EQ(reference.blocks, grid.size());
+  EXPECT_EQ(huge.blocks, grid.size());
+  EXPECT_EQ(huge.trials_per_block, UINT32_MAX);
+  huge.trials_per_block = reference.trials_per_block;
+  EXPECT_EQ(to_json(reference), to_json(huge));
 }
 
 TEST(Campaign, SameSeedReproducesExactly) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "common/simd.h"
@@ -142,6 +143,27 @@ TEST(RareEvent, PilotLadderFindsAProductiveTiltInTheRareRegime) {
       << 1.0 - e.ci_low << "] misses bounds [" << e.bound_lower << ", "
       << e.bound_upper << "]";
   EXPECT_EQ(e.seed, 2026u);
+}
+
+TEST(RareEvent, MaximalBlockSizeIsOneBlockPerStage) {
+  // A block size of UINT32_MAX must not wrap the block arithmetic: every
+  // pilot level and the final stage run one block from the same substream
+  // as with a block size equal to the trial count, so only the
+  // trials_per_block field differs.
+  RareEventOptions options;
+  options.hw_failure = Probability(0.01);
+  options.trials = 512;
+  options.pilot_trials = 256;
+  options.trials_per_block = 512;
+  const RareEventEstimate reference = estimate(options);
+  options.trials_per_block = UINT32_MAX;
+  RareEventEstimate huge = estimate(options);
+  EXPECT_GT(reference.levels_used, 0u);
+  EXPECT_EQ(reference.blocks, 1u);
+  EXPECT_EQ(huge.blocks, 1u);
+  EXPECT_EQ(huge.trials_per_block, UINT32_MAX);
+  huge.trials_per_block = reference.trials_per_block;
+  EXPECT_EQ(to_json(reference), to_json(huge));
 }
 
 TEST(RareEvent, SameSeedReproducesAndSeedsDiffer) {

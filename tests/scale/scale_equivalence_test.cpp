@@ -1,12 +1,13 @@
 // tier2-scale: the fast-path equivalences at sizes closer to bench_scale
-// than the tier1 unit tests — series kernels at n=96, the H1 pair heap at a
-// ~100-node SW graph, and the parallel planner sweep on a 32-process
-// system. Everything here is a bitwise-equivalence check; timing claims
+// than the tier1 unit tests — series kernels at n=96, the H1 pair heap
+// against the test-side scan (mapping/h1_scan_reference.h) at a ~100-node
+// SW graph, and the parallel planner sweep on a 32-process system. Everything here is a bitwise-equivalence check; timing claims
 // live in bench/bench_scale.cpp.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "../mapping/h1_scan_reference.h"
 #include "common/rng.h"
 #include "graph/series.h"
 #include "mapping/clustering.h"
@@ -115,17 +116,19 @@ TEST(ScaleClustering, PairHeapMatchesScanAtHundredNodes) {
     options.enforce_schedulability = false;
     options.log_steps = true;  // the step logs are compared below
 
-    options.use_pair_heap = false;
-    mapping::ClusterEngine scan_engine(sw, options);
-    const mapping::ClusteringResult scan = scan_engine.h1_greedy();
+    const mapping::reference::ScanOutcome scan =
+        mapping::reference::scan_merge_to_target(
+            sw, options, graph::Partition::identity(sw.node_count()),
+            mapping::reference::ScanStyle::kCombine);
+    ASSERT_FALSE(scan.infeasible) << scan.message;
 
-    options.use_pair_heap = true;
     mapping::ClusterEngine heap_engine(sw, options);
     const mapping::ClusteringResult heap = heap_engine.h1_greedy();
 
     EXPECT_EQ(scan.steps, heap.steps);
     EXPECT_EQ(scan.partition.cluster_of, heap.partition.cluster_of);
-    EXPECT_EQ(scan.cross_cluster_influence(), heap.cross_cluster_influence());
+    EXPECT_EQ(mapping::reference::cross_cluster_influence(sw, scan.partition),
+              heap.cross_cluster_influence());
   }
 }
 
