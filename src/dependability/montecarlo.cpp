@@ -1,7 +1,6 @@
 #include "dependability/montecarlo.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/batch_rng.h"
 #include "common/error.h"
@@ -13,16 +12,74 @@
 
 namespace fcm::dependability {
 
-namespace {
+MissionTrial::MissionTrial(const mapping::SwGraph& sw,
+                           const graph::Partition& partition,
+                           const mapping::Assignment& assignment,
+                           const mapping::HwGraph& hw, Probability sw_fault,
+                           bool propagate)
+    : edges_(&sw.influence_graph().edges()),
+      processes_(sw.processes()),
+      host_of_(sw.node_count()),
+      sw_fault_(sw_fault),
+      propagate_(propagate),
+      hw_failed_(hw.node_count()),
+      module_failed_(sw.node_count()),
+      edge_state_(edges_->size()) {
+  FCM_REQUIRE(partition.cluster_of.size() == sw.node_count(),
+              "partition does not cover the SW graph");
+  FCM_REQUIRE(assignment.hw_of.size() == partition.cluster_count,
+              "assignment does not cover every cluster");
+  for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
+    const HwNodeId host = assignment.host(partition.cluster_of[v]);
+    FCM_REQUIRE(host.valid() && host.value() < hw.node_count(),
+                "assignment references an unknown HW node");
+    host_of_[v] = host.value();
+  }
+  for (const mapping::SwProcess& process : processes_) {
+    min_ok_.push_back(mapping::min_ok_replicas(process.replication,
+                                               process.replicas.size()));
+  }
+}
 
-// Replication semantics of one origin process, precomputed once per
-// evaluation and shared read-only by every worker.
-struct ProcessInfo {
-  FcmId origin;
-  std::vector<graph::NodeIndex> replicas;
-  int replication = 1;
-  core::Criticality criticality = 0;
-};
+void MissionTrial::run(BatchRng& batch, double host_failure) {
+  // 1. HW node failures: one fused SoA lottery batch per trial (identical
+  // flags to fill + less_than, without materializing the uniforms).
+  batch.bernoulli(host_failure, hw_failed_.data(), hw_failed_.size());
+  // 2. Module failures: host HW down, or intrinsic SW fault. The
+  // short-circuit is load-bearing: a module on a dead host draws no SW
+  // fault lottery.
+  for (std::size_t v = 0; v < host_of_.size(); ++v) {
+    module_failed_[v] = static_cast<std::uint8_t>(
+        hw_failed_[host_of_[v]] != 0 || batch.chance(sw_fault_));
+  }
+  // 3. Propagation along influence edges to a fixed point. Each edge is
+  // sampled at most once per trial (a module corrupts a neighbor or not).
+  if (!propagate_) return;
+  std::fill(edge_state_.begin(), edge_state_.end(),
+            static_cast<std::int8_t>(-1));
+  const std::vector<graph::Edge>& edges = *edges_;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    ++propagation_sweeps_;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const graph::Edge& edge = edges[e];
+      if (!module_failed_[edge.from] || module_failed_[edge.to]) continue;
+      if (edge.weight <= 0.0) continue;  // replica links don't propagate
+      if (edge_state_[e] < 0) {
+        edge_state_[e] = batch.chance(Probability::clamped(edge.weight)) ? 1
+                                                                         : 0;
+        ++edges_sampled_;
+      }
+      if (edge_state_[e] == 1) {
+        module_failed_[edge.to] = 1;
+        changed = true;
+      }
+    }
+  }
+}
+
+namespace {
 
 // Tally of one fixed-size trial block. Counts are exact integers; the loss
 // sum is compensated within the block in trial order, so folding blocks in
@@ -33,107 +90,31 @@ struct BlockTally {
   std::uint32_t all_ok = 0;
   std::uint32_t critical_ok = 0;
   double criticality_loss = 0.0;
-  // Observability: fixed-point sweeps taken by the propagation loop, and
-  // edges actually sampled. Tallied per block so the registry totals fold
-  // deterministically like every other block quantity.
-  std::uint64_t propagation_sweeps = 0;
-  std::uint64_t edges_sampled = 0;
 };
 
-// Reusable per-worker scratch, allocated once per thread instead of per
-// trial (the propagation edge-state vector dominated allocation cost in the
-// single-threaded engine). SoA layout: byte flags instead of vector<bool>
-// so the batched comparison kernel can write failure masks directly.
-struct WorkerScratch {
-  std::vector<std::uint8_t> hw_failed;
-  std::vector<std::uint8_t> module_failed;
-  std::vector<std::int8_t> edge_state;  // -1 unsampled, 0 no, 1 yes
-};
-
-void run_block(const mapping::SwGraph& sw,
-               const mapping::ClusteringResult& clustering,
-               const mapping::Assignment& assignment,
-               const mapping::HwGraph& hw, const MissionModel& mission,
-               const std::vector<ProcessInfo>& processes,
+void run_block(MissionTrial& trial, const MissionModel& mission,
                core::Criticality critical_threshold, Rng rng,
                std::uint32_t first_trial, std::uint32_t last_trial,
-               WorkerScratch& scratch, BlockTally& tally) {
+               BlockTally& tally) {
+  const std::vector<mapping::SwProcess>& processes = trial.processes();
   tally.survived.assign(processes.size(), 0);
   NeumaierSum loss_sum;
-  const auto& edges = sw.influence_graph().edges();
-
   // BatchRng continues rng's exact stream through the SIMD backends:
-  // uniforms are generated in batches, consumed in the same order and under
-  // the same conditions as before, so every sampled value is bit-identical
-  // to the serial engine for every backend and thread count.
+  // uniforms are generated in batches and consumed in the same order and
+  // under the same conditions, so every sampled value is bit-identical to
+  // the serial engine for every backend and thread count.
   BatchRng batch(rng);
-  const std::size_t hw_count = hw.node_count();
-
-  for (std::uint32_t trial = first_trial; trial < last_trial; ++trial) {
-    // 1. HW node failures: one fused SoA lottery batch per trial (identical
-    // flags to fill + less_than, without materializing the uniforms).
-    batch.bernoulli(mission.hw_failure.value(), scratch.hw_failed.data(),
-                    hw_count);
-    // 2. Module failures: host HW down, or intrinsic SW fault. The
-    // short-circuit is load-bearing: a module on a dead host draws no SW
-    // fault lottery, exactly as before.
-    for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
-      const std::uint32_t cluster = clustering.partition.cluster_of[v];
-      const HwNodeId host = assignment.hw_of[cluster];
-      scratch.module_failed[v] = static_cast<std::uint8_t>(
-          scratch.hw_failed[host.value()] != 0 ||
-          batch.chance(mission.sw_fault));
-    }
-    // 3. Propagation along influence edges to a fixed point. Each edge is
-    // sampled at most once per trial (a module corrupts a neighbor or not).
-    if (mission.propagate) {
-      std::fill(scratch.edge_state.begin(), scratch.edge_state.end(),
-                static_cast<std::int8_t>(-1));
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        ++tally.propagation_sweeps;
-        for (std::size_t e = 0; e < edges.size(); ++e) {
-          const graph::Edge& edge = edges[e];
-          if (!scratch.module_failed[edge.from] ||
-              scratch.module_failed[edge.to]) {
-            continue;
-          }
-          if (edge.weight <= 0.0) continue;  // replica links don't propagate
-          if (scratch.edge_state[e] < 0) {
-            scratch.edge_state[e] =
-                batch.chance(Probability::clamped(edge.weight)) ? 1 : 0;
-            ++tally.edges_sampled;
-          }
-          if (scratch.edge_state[e] == 1) {
-            scratch.module_failed[edge.to] = 1;
-            changed = true;
-          }
-        }
-      }
-    }
-    // 4. FT semantics per process.
+  for (std::uint32_t t = first_trial; t < last_trial; ++t) {
+    trial.run(batch, mission.hw_failure.value());
     bool everything = true, critical = true;
     double lost = 0.0;
     for (std::size_t p = 0; p < processes.size(); ++p) {
-      const ProcessInfo& info = processes[p];
-      int ok = 0;
-      for (const graph::NodeIndex v : info.replicas) {
-        if (!scratch.module_failed[v]) ++ok;
-      }
-      bool delivered = false;
-      if (info.replication <= 2) {
-        delivered = ok >= 1;  // simplex / fail-stop duplex
-      } else {
-        const int voters = static_cast<int>(info.replicas.size());
-        delivered = 2 * ok > voters;  // majority vote
-      }
-      if (delivered) {
+      if (trial.delivered(p)) {
         ++tally.survived[p];
       } else {
         everything = false;
-        lost += info.criticality;
-        if (info.criticality >= critical_threshold) critical = false;
+        lost += processes[p].criticality;
+        if (processes[p].criticality >= critical_threshold) critical = false;
       }
     }
     if (everything) ++tally.all_ok;
@@ -153,25 +134,10 @@ DependabilityReport evaluate_mapping(
   FCM_REQUIRE(mission.trials > 0, "at least one trial required");
   FCM_REQUIRE(mission.trials_per_block > 0,
               "trial block size must be positive");
-  FCM_REQUIRE(assignment.hw_of.size() == clustering.partition.cluster_count,
-              "assignment does not cover every cluster");
   FCM_OBS_SPAN("mc.evaluate");
-
-  // Group SW nodes by their origin process; record replication semantics.
-  std::map<FcmId, std::size_t> index_of;
-  std::vector<ProcessInfo> processes;
-  for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
-    const mapping::SwNode& node = sw.node(v);
-    auto [it, inserted] = index_of.try_emplace(node.origin, processes.size());
-    if (inserted) {
-      ProcessInfo info;
-      info.origin = node.origin;
-      info.replication = node.attributes.replication;
-      info.criticality = node.attributes.criticality;
-      processes.push_back(std::move(info));
-    }
-    processes[it->second].replicas.push_back(v);
-  }
+  const MissionTrial trial(sw, clustering.partition, assignment, hw,
+                           mission.sw_fault, mission.propagate);
+  const std::size_t process_count = trial.processes().size();
 
   const std::uint32_t block_size = mission.trials_per_block;
   const std::uint32_t block_count =
@@ -185,12 +151,7 @@ DependabilityReport evaluate_mapping(
   // the thread count and the block execution order.
   const Rng master(seed);
   std::vector<BlockTally> tallies(block_count);
-  std::vector<WorkerScratch> scratch(threads);
-  for (WorkerScratch& s : scratch) {
-    s.hw_failed.resize(hw.node_count());
-    s.module_failed.resize(sw.node_count());
-    s.edge_state.resize(sw.influence_graph().edge_count());
-  }
+  std::vector<MissionTrial> lanes(threads, trial);
   exec::parallel_for_blocks(
       block_count, threads, [&](std::uint64_t b, std::uint32_t lane) {
         const std::uint32_t block = static_cast<std::uint32_t>(b);
@@ -198,30 +159,31 @@ DependabilityReport evaluate_mapping(
         const std::uint32_t last =
             exec::block_end(mission.trials, block_size, block);
         FCM_OBS_SPAN("mc.block", block);
-        run_block(sw, clustering, assignment, hw, mission, processes,
-                  critical_threshold, master.substream(block), first, last,
-                  scratch[lane], tallies[block]);
+        run_block(lanes[lane], mission, critical_threshold,
+                  master.substream(block), first, last, tallies[block]);
       });
 
   // Deterministic reduction: integer counts commute; the loss totals fold
   // in block order through one more compensated sum.
-  std::vector<std::uint64_t> survived(processes.size(), 0);
+  std::vector<std::uint64_t> survived(process_count, 0);
   std::uint64_t all_ok = 0, critical_ok = 0;
-  std::uint64_t propagation_sweeps = 0, edges_sampled = 0;
   NeumaierSum loss_sum;
   for (const BlockTally& tally : tallies) {
-    for (std::size_t p = 0; p < processes.size(); ++p) {
+    for (std::size_t p = 0; p < process_count; ++p) {
       survived[p] += tally.survived[p];
     }
     all_ok += tally.all_ok;
     critical_ok += tally.critical_ok;
-    propagation_sweeps += tally.propagation_sweeps;
-    edges_sampled += tally.edges_sampled;
     loss_sum.add(tally.criticality_loss);
   }
+  // Every block's propagation work lands on exactly one lane, so the lane
+  // sums, like the estimates, are identical for every thread count.
+  std::uint64_t propagation_sweeps = 0, edges_sampled = 0;
+  for (const MissionTrial& lane : lanes) {
+    propagation_sweeps += lane.propagation_sweeps();
+    edges_sampled += lane.edges_sampled();
+  }
 
-  // Work counters fold from the per-block tallies, so — like the estimates
-  // themselves — the registry totals are identical for every thread count.
   FCM_OBS_COUNT("mc.evaluations", 1);
   FCM_OBS_COUNT("mc.trials", mission.trials);
   FCM_OBS_COUNT("mc.blocks", block_count);
@@ -233,8 +195,8 @@ DependabilityReport evaluate_mapping(
   report.trials = mission.trials;
   report.threads_used = threads;
   report.blocks = block_count;
-  report.process_survival.resize(processes.size());
-  for (std::size_t p = 0; p < processes.size(); ++p) {
+  report.process_survival.resize(process_count);
+  for (std::size_t p = 0; p < process_count; ++p) {
     report.process_survival[p] =
         static_cast<double>(survived[p]) / mission.trials;
   }

@@ -69,12 +69,7 @@ IntegrationPlanner::IntegrationPlanner(const core::FcmHierarchy& hierarchy,
       options_(options),
       sw_(SwGraph::build(hierarchy, influence, processes)) {}
 
-Plan IntegrationPlanner::plan(Heuristic heuristic, Approach approach) {
-  return plan_with(heuristic, approach, &separation_cache_);
-}
-
-Plan IntegrationPlanner::plan_with(Heuristic heuristic, Approach approach,
-                                   core::SeparationCache* cache) const {
+Plan IntegrationPlanner::plan(Heuristic heuristic, Approach approach) const {
   ClusteringOptions copts;
   copts.target_clusters = hw_->node_count();
   copts.policy = options_.policy;
@@ -125,16 +120,12 @@ Plan IntegrationPlanner::plan_with(Heuristic heuristic, Approach approach,
       approach == Approach::kAImportance
           ? assign_by_importance(sw_, result.clustering, *hw_)
           : assign_lexicographic(sw_, result.clustering, *hw_);
-  QualityOptions qopts = options_.quality;
-  if (qopts.separation_cache == nullptr) {
-    qopts.separation_cache = cache;
-  }
   result.quality = evaluate(sw_, result.clustering, result.assignment, *hw_,
-                            qopts);
+                            options_.quality);
   return result;
 }
 
-Plan IntegrationPlanner::best_plan(Approach approach) {
+Plan IntegrationPlanner::best_plan(Approach approach) const {
   static constexpr Heuristic kAll[] = {
       Heuristic::kH1Greedy,           Heuristic::kH1Rounds,
       Heuristic::kH2MinCut,           Heuristic::kH2StCut,
@@ -158,46 +149,25 @@ Plan IntegrationPlanner::best_plan(Approach approach) {
   FCM_OBS_COUNT("planner.sweeps", 1);
   FCM_OBS_GAUGE("planner.sweep_threads", static_cast<double>(threads));
 
-  auto run_candidate = [&](std::size_t index, core::SeparationCache* cache) {
+  // One region for every thread count: with one lane the candidates run
+  // inline in sweep order, and regions nested inside a candidate run inline
+  // on its lane either way, so the work counters do not depend on threads.
+  exec::parallel_for_blocks(kCount, threads, [&](std::uint64_t index,
+                                                 std::uint32_t /*lane*/) {
     Candidate& slot = candidates[index];
     // One span per heuristic candidate, keyed by its sweep index so the
     // merged trace reads the same whichever worker ran it.
     FCM_OBS_SPAN("planner.candidate", index);
     FCM_OBS_COUNT("planner.candidates", 1);
     try {
-      slot.plan = plan_with(kAll[index], approach, cache);
+      slot.plan = plan(kAll[index], approach);
     } catch (const FcmError& error) {
       slot.failure = error.what();
       FCM_OBS_COUNT("planner.candidate_failures", 1);
     } catch (...) {
       slot.fatal = std::current_exception();
     }
-  };
-
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < kCount; ++i) {
-      run_candidate(i, &separation_cache_);
-    }
-  } else {
-    // One separation cache per executor lane: candidates running on the
-    // same lane share it. Which candidate lands on which lane depends on
-    // the steal schedule, so the hit/miss totals merged below vary run to
-    // run even at a fixed thread count — they are diagnostic-only and
-    // must stay out of determinism comparisons (the plan itself is
-    // schedule-invariant).
-    std::vector<core::SeparationCache> lane_caches(threads);
-    exec::parallel_for_blocks(
-        kCount, threads, [&](std::uint64_t i, std::uint32_t lane) {
-          run_candidate(static_cast<std::size_t>(i), &lane_caches[lane]);
-        });
-    for (const core::SeparationCache& cache : lane_caches) {
-      const core::CacheStats stats = cache.stats();
-      sweep_stats_.hits += stats.hits;
-      sweep_stats_.misses += stats.misses;
-      sweep_stats_.invalidations += stats.invalidations;
-      sweep_stats_.evictions += stats.evictions;
-    }
-  }
+  });
 
   bool found = false;
   Plan best;

@@ -89,45 +89,22 @@ class IntegrationPlanner {
   /// The replication-expanded SW graph.
   [[nodiscard]] const SwGraph& sw_graph() const noexcept { return sw_; }
 
-  /// Runs one heuristic + approach combination.
-  Plan plan(Heuristic heuristic, Approach approach);
+  /// Runs one heuristic + approach combination. Side-effect free, so
+  /// candidates may run concurrently.
+  Plan plan(Heuristic heuristic, Approach approach) const;
 
   /// Runs every heuristic with the given approach and returns the feasible
-  /// plan with the highest quality score. When `sweep_threads` allows, the
-  /// candidates are planned in parallel (one worker-local separation memo
-  /// each); the selection pass is always sequential over the fixed
-  /// heuristic order, so the result is identical for any thread count.
-  /// Throws Infeasible when no heuristic produces a feasible plan.
-  Plan best_plan(Approach approach = Approach::kAImportance);
-
-  /// Hit/miss counters of the planner's Eq. 3 separation memo, merged with
-  /// the counters of every worker-local memo used by parallel best_plan
-  /// sweeps on this planner.
-  [[nodiscard]] core::CacheStats separation_cache_stats() const noexcept {
-    core::CacheStats merged = separation_cache_.stats();
-    merged.hits += sweep_stats_.hits;
-    merged.misses += sweep_stats_.misses;
-    merged.invalidations += sweep_stats_.invalidations;
-    merged.evictions += sweep_stats_.evictions;
-    return merged;
-  }
+  /// plan with the highest quality score. The candidates run as blocks of
+  /// one executor region on up to `sweep_threads` lanes; the selection pass
+  /// is always sequential over the fixed heuristic order, so the result is
+  /// identical for any thread count. Throws Infeasible when no heuristic
+  /// produces a feasible plan.
+  Plan best_plan(Approach approach = Approach::kAImportance) const;
 
  private:
-  /// One heuristic + approach candidate, scored through `cache`. Const and
-  /// side-effect free apart from the cache, so candidates may run
-  /// concurrently with per-worker caches.
-  [[nodiscard]] Plan plan_with(Heuristic heuristic, Approach approach,
-                               core::SeparationCache* cache) const;
-
   const HwGraph* hw_;
   PlanOptions options_;
   SwGraph sw_;
-  /// Scores across heuristics repeatedly analyze candidate quotients;
-  /// identical quotients (heuristics often converge on the same clustering)
-  /// share one power-series analysis through this memo.
-  core::SeparationCache separation_cache_;
-  /// Accumulated stats of retired worker-local sweep memos.
-  core::CacheStats sweep_stats_;
 };
 
 }  // namespace fcm::mapping

@@ -144,23 +144,24 @@ ReplanResult replan_after_loss(const SwGraph& sw,
   for (const HwNode& node : hw.nodes()) {
     if (!dead[node.id.value()]) orig_of_new.push_back(node.id);
   }
+
+  // ---- Per-process accounting. A process with a dead replica but a live
+  // one is *promoted*: it stays in service at reduced redundancy — the §5
+  // weight-0 separation paying off. ----
+  std::vector<std::size_t> process_of(sw.node_count());
+  for (const SwProcess& process : sw.processes()) {
+    ProcessSurvival p;
+    p.origin = process.origin;
+    p.name = process.name;
+    p.criticality = process.criticality;
+    p.replicas_before = static_cast<int>(process.replicas.size());
+    for (const graph::NodeIndex v : process.replicas) {
+      process_of[v] = result.processes.size();
+    }
+    result.processes.push_back(std::move(p));
+  }
   if (surviving_hw.node_count() == 0) {
     result.log.push_back("no HW node survives: nothing to replan onto");
-    for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
-      const SwNode& node = sw.node(v);
-      auto it = std::find_if(
-          result.processes.begin(), result.processes.end(),
-          [&](const ProcessSurvival& p) { return p.origin == node.origin; });
-      if (it == result.processes.end()) {
-        ProcessSurvival p;
-        p.origin = node.origin;
-        p.name = node.name;
-        p.criticality = node.attributes.criticality;
-        result.processes.push_back(p);
-        it = result.processes.end() - 1;
-      }
-      ++it->replicas_before;
-    }
     return result;
   }
 
@@ -179,34 +180,6 @@ ReplanResult replan_after_loss(const SwGraph& sw,
     }
   }
 
-  // ---- Per-process accounting; promote survivors of thinned processes.
-  // A process with a dead replica but a live one is *promoted*: it stays in
-  // service at reduced redundancy — the §5 weight-0 separation paying off.
-  std::map<FcmId, std::size_t> process_index;
-  for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
-    const SwNode& node = sw.node(v);
-    auto [it, inserted] =
-        process_index.try_emplace(node.origin, result.processes.size());
-    if (inserted) {
-      ProcessSurvival p;
-      p.origin = node.origin;
-      p.name = node.name;
-      p.criticality = node.attributes.criticality;
-      result.processes.push_back(p);
-    }
-    ++result.processes[it->second].replicas_before;
-  }
-  // Canonical process names: strip replica suffixes by taking the name of
-  // replica 0 without its suffix when the process is replicated.
-  for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
-    const SwNode& node = sw.node(v);
-    ProcessSurvival& p = result.processes[process_index.at(node.origin)];
-    if (node.replica_index == 0 && p.replicas_before > 1) {
-      const std::string suffix = replica_suffix(0);
-      p.name = node.name.substr(0, node.name.size() - suffix.size());
-    }
-  }
-
   // ---- Capacity pre-pass: a process cannot keep more replicas than there
   // are surviving HW nodes (replicas never collocate). Drop the surplus —
   // highest replica index first — before clustering ever sees them.
@@ -221,8 +194,7 @@ ReplanResult replan_after_loss(const SwGraph& sw,
       group.pop_back();
       dropped.insert(victim);
       SheddingRecord record = record_of(sw, victim);
-      record.process =
-          result.processes[process_index.at(origin)].name;
+      record.process = result.processes[process_of[victim]].name;
       result.log.push_back("drop surplus replica " + record.name + " (" +
                            std::to_string(group.size()) +
                            " fit the surviving HW)");
@@ -361,8 +333,7 @@ ReplanResult replan_after_loss(const SwGraph& sw,
   for (std::size_t i = 0; i < recorded_shed; ++i) {
     const graph::NodeIndex v = order[i];
     SheddingRecord record = record_of(sw, v);
-    record.process =
-        result.processes[process_index.at(sw.node(v).origin)].name;
+    record.process = result.processes[process_of[v]].name;
     result.log.push_back("shed " + record.name + " (importance " +
                          std::to_string(record.importance) + ")");
     result.shed.push_back(std::move(record));
@@ -371,7 +342,7 @@ ReplanResult replan_after_loss(const SwGraph& sw,
   // ---- Post-replan process fates. ----
   if (result.feasible) {
     for (const graph::NodeIndex v : result.kept) {
-      ++result.processes[process_index.at(sw.node(v).origin)].replicas_after;
+      ++result.processes[process_of[v]].replicas_after;
     }
   }
   FCM_OBS_COUNT("replan.attempts", result.attempts);

@@ -19,6 +19,10 @@ std::string replica_suffix(int index) {
   return suffix;
 }
 
+int min_ok_replicas(int replication, std::size_t replicas) {
+  return replication <= 2 ? 1 : static_cast<int>(replicas / 2) + 1;
+}
+
 SwGraph SwGraph::build(const core::FcmHierarchy& hierarchy,
                        const core::InfluenceModel& influence,
                        const std::vector<FcmId>& processes,
@@ -135,6 +139,29 @@ SwGraph SwGraph::subset(const std::vector<graph::NodeIndex>& keep) const {
     sub.graph_.add_edge(from, to, edge.weight, edge.label);
   }
   return sub;
+}
+
+std::vector<SwProcess> SwGraph::processes() const {
+  std::map<FcmId, std::size_t> index_of;
+  std::vector<SwProcess> processes;
+  for (graph::NodeIndex v = 0; v < nodes_.size(); ++v) {
+    const SwNode& node = nodes_[v];
+    auto [it, inserted] = index_of.try_emplace(node.origin, processes.size());
+    if (inserted) {
+      SwProcess process;
+      process.origin = node.origin;
+      process.name = node.name;
+      process.replication = node.attributes.replication;
+      process.criticality = node.attributes.criticality;
+      // Each replica of a replicated process is named process + suffix.
+      if (process.replication > 1) {
+        process.name.resize(node.name.size() - replica_suffix(0).size());
+      }
+      processes.push_back(std::move(process));
+    }
+    processes[it->second].replicas.push_back(v);
+  }
+  return processes;
 }
 
 const SwNode& SwGraph::node(SwNodeId id) const {

@@ -32,6 +32,16 @@ struct SwNode {
   double importance = 0.0;
 };
 
+/// One process FCM as the SW graph expands it: its replica nodes and the FT
+/// attributes that decide whether it delivers.
+struct SwProcess {
+  FcmId origin;
+  std::string name;  ///< the process name, without a replica suffix
+  std::vector<graph::NodeIndex> replicas;  ///< ascending node indices
+  int replication = 1;
+  core::Criticality criticality = 0;
+};
+
 /// The replication-expanded SW graph over process-level FCMs.
 class SwGraph {
  public:
@@ -54,6 +64,10 @@ class SwGraph {
   [[nodiscard]] const std::vector<SwNode>& nodes() const noexcept {
     return nodes_;
   }
+
+  /// One entry per process, in the order of each process's first replica
+  /// node.
+  [[nodiscard]] std::vector<SwProcess> processes() const;
 
   /// The influence digraph over replica nodes (node index k corresponds to
   /// nodes()[k]); includes the weight-0 replica links.
@@ -91,5 +105,11 @@ class SwGraph {
 
 /// Replica suffix for index 0,1,2,... -> "a","b","c",...,"z","aa",...
 std::string replica_suffix(int index);
+
+/// Fewest good replicas with which a process delivers (§5 FT semantics):
+/// one for simplex and fail-stop duplex (`replication` <= 2), a strict
+/// majority of its `replicas` mapped replicas for TMR and up, since the
+/// voter cannot tell which minority is right.
+[[nodiscard]] int min_ok_replicas(int replication, std::size_t replicas);
 
 }  // namespace fcm::mapping

@@ -11,45 +11,12 @@ namespace fcm::resilience {
 
 namespace {
 
-// Replication semantics of one origin process — the same grouping the
-// campaign and Monte Carlo engines compute.
-struct ProcessInfo {
-  FcmId origin;
-  std::string name;
-  std::vector<graph::NodeIndex> replicas;
-  int replication = 1;
-  core::Criticality criticality = 0;
-};
-
-std::vector<ProcessInfo> group_processes(const mapping::SwGraph& sw) {
-  std::map<FcmId, std::size_t> index_of;
-  std::vector<ProcessInfo> processes;
-  for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
-    const mapping::SwNode& node = sw.node(v);
-    auto [it, inserted] = index_of.try_emplace(node.origin, processes.size());
-    if (inserted) {
-      ProcessInfo info;
-      info.origin = node.origin;
-      info.name = node.name;
-      info.replication = node.attributes.replication;
-      info.criticality = node.attributes.criticality;
-      if (info.replication > 1) {
-        const std::string suffix = mapping::replica_suffix(0);
-        info.name = node.name.substr(0, node.name.size() - suffix.size());
-      }
-      processes.push_back(std::move(info));
-    }
-    processes[it->second].replicas.push_back(v);
-  }
-  return processes;
-}
-
 // Folds per-process bounds into the joint figures. Upper: the joint event
 // is contained in each marginal, so the series min is an upper bound.
 // Lower: under the worst-case coupling every remaining random draw is an
 // independent per-replica recovery (or ancestor-ok) event over disjoint
 // replica sets, so the joint probability factorizes into the product.
-void fold_joint(const std::vector<ProcessInfo>& processes,
+void fold_joint(const std::vector<mapping::SwProcess>& processes,
                 core::Criticality critical_threshold,
                 CompositionalBounds& out) {
   out.system = {1.0, 1.0};
@@ -111,7 +78,7 @@ double delivery_probability(const std::vector<double>& replica_ok,
                             int replication) {
   FCM_REQUIRE(!replica_ok.empty(), "delivery fold needs >= 1 replica");
   const int n = static_cast<int>(replica_ok.size());
-  const int need = replication <= 2 ? 1 : n / 2 + 1;
+  const int need = mapping::min_ok_replicas(replication, replica_ok.size());
   // Convolve the heterogeneous Bernoulli replicas into the ok-count
   // distribution, then sum the tail at `need`.
   std::vector<double> dist(static_cast<std::size_t>(n) + 1, 0.0);
@@ -144,7 +111,7 @@ CompositionalBounds scenario_bounds(const mapping::SwGraph& sw,
                                     const mapping::HwGraph& hw,
                                     const Scenario& scenario,
                                     const ScenarioBoundOptions& options) {
-  const std::vector<ProcessInfo> processes = group_processes(sw);
+  const std::vector<mapping::SwProcess> processes = sw.processes();
   const CompiledPlatform compiled =
       compile_platform(sw, partition, assignment, hw);
 
@@ -241,7 +208,7 @@ CompositionalBounds scenario_bounds(const mapping::SwGraph& sw,
   CompositionalBounds out;
   out.processes.resize(processes.size());
   for (std::size_t p = 0; p < processes.size(); ++p) {
-    const ProcessInfo& info = processes[p];
+    const mapping::SwProcess& info = processes[p];
     const double mech = recovery_success(info.replication,
                                          options.recovery_failure);
     std::vector<double> upper_ok, lower_ok;
@@ -271,7 +238,7 @@ CompositionalBounds mission_bounds(const mapping::SwGraph& sw,
                                    const MissionBoundOptions& options) {
   FCM_REQUIRE(partition.cluster_of.size() == sw.node_count(),
               "partition does not cover the SW graph");
-  const std::vector<ProcessInfo> processes = group_processes(sw);
+  const std::vector<mapping::SwProcess> processes = sw.processes();
   const double q = options.hw_failure.value();
   const double s = options.sw_fault.value();
 
@@ -308,14 +275,15 @@ CompositionalBounds mission_bounds(const mapping::SwGraph& sw,
   out.processes.resize(processes.size());
   std::set<graph::NodeIndex> critical_closure, system_closure;
   for (std::size_t p = 0; p < processes.size(); ++p) {
-    const ProcessInfo& info = processes[p];
+    const mapping::SwProcess& info = processes[p];
     // Upper: exact no-propagation delivery. Replicas sharing a host rise
     // and fall with one host coin, so convolve per *host*: host up with
     // probability 1-q contributes Binomial(replicas there, 1-s) ok coins.
     std::map<std::uint32_t, int> on_host;
     for (const graph::NodeIndex v : info.replicas) ++on_host[host_of[v]];
     const int n = static_cast<int>(info.replicas.size());
-    const int need = info.replication <= 2 ? 1 : n / 2 + 1;
+    const int need =
+        mapping::min_ok_replicas(info.replication, info.replicas.size());
     std::vector<double> dist(static_cast<std::size_t>(n) + 1, 0.0);
     dist[0] = 1.0;
     for (const auto& [host, count] : on_host) {

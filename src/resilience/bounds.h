@@ -77,10 +77,9 @@ struct CompositionalBounds {
 /// simplexes. `failure` is the independent per-path failure probability.
 [[nodiscard]] double recovery_success(int replication, Probability failure);
 
-/// Probability a process delivers given independent per-replica ok
-/// probabilities: >= 1 ok replica for replication <= 2 (simplex / fail-stop
-/// duplex), a strict majority for TMR and up. Exact k-of-n fold via
-/// convolution over the heterogeneous Bernoulli replicas.
+/// Probability a process delivers, i.e. has `mapping::min_ok_replicas` ok
+/// replicas, given independent per-replica ok probabilities. Exact k-of-n
+/// fold via convolution over the heterogeneous Bernoulli replicas.
 [[nodiscard]] double delivery_probability(
     const std::vector<double>& replica_ok, int replication);
 

@@ -1,7 +1,6 @@
 #include "resilience/campaign.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "common/error.h"
@@ -15,16 +14,6 @@
 namespace fcm::resilience {
 
 namespace {
-
-// Replication semantics of one origin process, precomputed once and shared
-// read-only by every worker.
-struct ProcessInfo {
-  FcmId origin;
-  std::string name;
-  std::vector<graph::NodeIndex> replicas;
-  int replication = 1;
-  core::Criticality criticality = 0;
-};
 
 // Tally of one fixed-size trial block. All counters are exact integers, so
 // folding blocks in index order reproduces one canonical result no matter
@@ -95,7 +84,7 @@ bool attempt_recovery(int replication, Rng& rng, Probability failure) {
 }
 
 void run_block(const Scenario& scenario, const CompiledPlatform& compiled,
-               const std::vector<ProcessInfo>& processes,
+               const std::vector<mapping::SwProcess>& processes,
                const std::vector<std::uint32_t>& process_of_node,
                const std::vector<bool>& host_crashed,
                const CampaignOptions& options, Rng rng,
@@ -162,7 +151,7 @@ void run_block(const Scenario& scenario, const CompiledPlatform& compiled,
     for (std::size_t v = 0; v < node_count; ++v) {
       if (host_crashed[v] || report.tasks[v].failures == 0) continue;
       ++tally.recoveries_attempted;
-      const ProcessInfo& info = processes[process_of_node[v]];
+      const mapping::SwProcess& info = processes[process_of_node[v]];
       if (attempt_recovery(info.replication, rng,
                            options.recovery_failure)) {
         ++tally.recoveries_succeeded;
@@ -170,22 +159,16 @@ void run_block(const Scenario& scenario, const CompiledPlatform& compiled,
       }
     }
 
-    // Delivery per process: simplex / fail-stop duplex need one good
-    // replica; TMR and up need a strict majority (the voter cannot tell
-    // which minority is right).
     bool everything = true;
     bool critical = true;
     for (std::size_t p = 0; p < processes.size(); ++p) {
-      const ProcessInfo& info = processes[p];
+      const mapping::SwProcess& info = processes[p];
       int ok = 0;
       for (const graph::NodeIndex v : info.replicas) {
         if (replica_ok[v]) ++ok;
       }
-      const bool delivered =
-          info.replication <= 2
-              ? ok >= 1
-              : 2 * ok > static_cast<int>(info.replicas.size());
-      if (delivered) {
+      if (ok >= mapping::min_ok_replicas(info.replication,
+                                         info.replicas.size())) {
         ++tally.delivered[p];
       } else {
         everything = false;
@@ -215,28 +198,12 @@ ResilienceReport run_campaign(const mapping::SwGraph& sw,
   const CompiledPlatform compiled =
       compile_platform(sw, partition, assignment, hw);
 
-  // Group replicas by origin process (canonical name = replica 0's name
-  // minus its suffix when replicated).
-  std::map<FcmId, std::size_t> index_of;
-  std::vector<ProcessInfo> processes;
+  const std::vector<mapping::SwProcess> processes = sw.processes();
   std::vector<std::uint32_t> process_of_node(sw.node_count(), 0);
-  for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
-    const mapping::SwNode& node = sw.node(v);
-    auto [it, inserted] = index_of.try_emplace(node.origin, processes.size());
-    if (inserted) {
-      ProcessInfo info;
-      info.origin = node.origin;
-      info.name = node.name;
-      info.replication = node.attributes.replication;
-      info.criticality = node.attributes.criticality;
-      if (info.replication > 1) {
-        const std::string suffix = mapping::replica_suffix(0);
-        info.name = node.name.substr(0, node.name.size() - suffix.size());
-      }
-      processes.push_back(std::move(info));
+  for (std::uint32_t p = 0; p < processes.size(); ++p) {
+    for (const graph::NodeIndex v : processes[p].replicas) {
+      process_of_node[v] = p;
     }
-    process_of_node[v] = static_cast<std::uint32_t>(it->second);
-    processes[it->second].replicas.push_back(v);
   }
 
   // Per-scenario crash context: which simulated processors die, and which

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 
 #include "common/batch_rng.h"
 #include "common/error.h"
 #include "common/ksum.h"
 #include "common/rng.h"
-#include "common/simd.h"
+#include "dependability/montecarlo.h"
 #include "exec/executor.h"
 #include "obs/obs.h"
 
@@ -25,39 +24,6 @@ constexpr std::uint64_t kPilotStride = 10'000;
 
 constexpr double kZ99 = 2.576;  // 99% normal quantile
 
-// Replication semantics of one origin process (the montecarlo.cpp grouping).
-struct ProcessInfo {
-  std::vector<graph::NodeIndex> replicas;
-  int replication = 1;
-  core::Criticality criticality = 0;
-};
-
-std::vector<ProcessInfo> group_processes(const mapping::SwGraph& sw) {
-  std::map<FcmId, std::size_t> index_of;
-  std::vector<ProcessInfo> processes;
-  for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
-    const mapping::SwNode& node = sw.node(v);
-    auto [it, inserted] = index_of.try_emplace(node.origin, processes.size());
-    if (inserted) {
-      ProcessInfo info;
-      info.replication = node.attributes.replication;
-      info.criticality = node.attributes.criticality;
-      processes.push_back(std::move(info));
-    }
-    processes[it->second].replicas.push_back(v);
-  }
-  return processes;
-}
-
-// Per-worker scratch, allocated once per lane instead of per trial. Byte
-// flags (not vector<bool>) so the batched comparison kernel can write the
-// tilted failure mask directly.
-struct WorkerScratch {
-  std::vector<std::uint8_t> hw_failed;
-  std::vector<std::uint8_t> module_failed;
-  std::vector<std::int8_t> edge_state;  // -1 unsampled, 0 no, 1 yes
-};
-
 // Tally of one fixed-size block of tilted trials. The weighted moments are
 // compensated within the block in trial order, so folding blocks in index
 // order reproduces one canonical result for any thread count.
@@ -69,84 +35,32 @@ struct BlockTally {
   std::uint64_t hits = 0;        // trials that lost critical service
 };
 
-// One block of trials under the tilted dynamics. The per-host likelihood
-// ratio factors multiply in fixed host order, so the weight of a trial is a
-// pure function of its substream draws.
-void run_block(const mapping::SwGraph& sw,
-               const graph::Partition& partition,
-               const mapping::Assignment& assignment, std::size_t hw_count,
-               const RareEventOptions& options,
-               const std::vector<ProcessInfo>& processes, double tilt,
-               Rng rng, std::uint32_t first_trial, std::uint32_t last_trial,
-               WorkerScratch& scratch, BlockTally& tally) {
+// One block of mission trials whose hosts fail with the tilted probability.
+// The per-host likelihood ratio factors multiply in fixed host order, so
+// the weight of a trial is a pure function of its substream draws.
+void run_block(dependability::MissionTrial& trial,
+               const RareEventOptions& options, double tilt, Rng rng,
+               std::uint32_t first_trial, std::uint32_t last_trial,
+               BlockTally& tally) {
   const double q = options.hw_failure.value();
   const double ratio_fail = tilt > 0.0 ? q / tilt : 0.0;
   const double ratio_ok = tilt < 1.0 ? (1.0 - q) / (1.0 - tilt) : 0.0;
-  const auto& edges = sw.influence_graph().edges();
-
-  // Batched generation over rng's exact stream (see montecarlo.cpp); the
-  // per-host likelihood factors still multiply serially in host order, so
-  // the trial weight is bit-identical on every backend.
+  const std::vector<mapping::SwProcess>& processes = trial.processes();
   BatchRng batch(rng);
 
-  for (std::uint32_t trial = first_trial; trial < last_trial; ++trial) {
-    // 1. HW node failures from the tilted distribution, weighted by the
-    // exact likelihood ratio of the nominal distribution (fused lottery —
-    // identical flags to fill + less_than).
-    batch.bernoulli(tilt, scratch.hw_failed.data(), hw_count);
+  for (std::uint32_t t = first_trial; t < last_trial; ++t) {
+    // Only the host lottery is tilted; intrinsic SW faults and propagation
+    // keep their nominal probabilities.
+    trial.run(batch, tilt);
     double weight = 1.0;
-    for (std::size_t n = 0; n < hw_count; ++n) {
-      weight *= scratch.hw_failed[n] != 0 ? ratio_fail : ratio_ok;
+    for (std::size_t n = 0; n < trial.hw_count(); ++n) {
+      weight *= trial.host_failed(n) ? ratio_fail : ratio_ok;
     }
-    // 2. Module failures: host down, or intrinsic SW fault (nominal coin —
-    // only the host process is tilted; the short-circuit that skips the SW
-    // lottery on a dead host is preserved).
-    for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
-      const HwNodeId host = assignment.host(partition.cluster_of[v]);
-      scratch.module_failed[v] = static_cast<std::uint8_t>(
-          scratch.hw_failed[host.value()] != 0 ||
-          batch.chance(options.sw_fault));
-    }
-    // 3. Propagation along influence edges to a fixed point, each edge
-    // sampled at most once per trial (the montecarlo.cpp dynamics).
-    if (options.propagate) {
-      std::fill(scratch.edge_state.begin(), scratch.edge_state.end(),
-                static_cast<std::int8_t>(-1));
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        for (std::size_t e = 0; e < edges.size(); ++e) {
-          const graph::Edge& edge = edges[e];
-          if (!scratch.module_failed[edge.from] ||
-              scratch.module_failed[edge.to]) {
-            continue;
-          }
-          if (edge.weight <= 0.0) continue;
-          if (scratch.edge_state[e] < 0) {
-            scratch.edge_state[e] =
-                batch.chance(Probability::clamped(edge.weight)) ? 1 : 0;
-          }
-          if (scratch.edge_state[e] == 1) {
-            scratch.module_failed[edge.to] = 1;
-            changed = true;
-          }
-        }
-      }
-    }
-    // 4. FT semantics per critical process; one lost critical service is a
-    // hit.
+    // One lost critical service is a hit.
     bool critical_ok = true;
-    for (const ProcessInfo& info : processes) {
-      if (info.criticality < options.critical_threshold) continue;
-      int ok = 0;
-      for (const graph::NodeIndex v : info.replicas) {
-        if (!scratch.module_failed[v]) ++ok;
-      }
-      const bool delivered =
-          info.replication <= 2
-              ? ok >= 1
-              : 2 * ok > static_cast<int>(info.replicas.size());
-      if (!delivered) {
+    for (std::size_t p = 0; p < processes.size(); ++p) {
+      if (processes[p].criticality < options.critical_threshold) continue;
+      if (!trial.delivered(p)) {
         critical_ok = false;
         break;
       }
@@ -172,20 +86,14 @@ RareEventEstimate estimate_rare_event(const mapping::SwGraph& sw,
   FCM_REQUIRE(options.trials > 0, "at least one trial required");
   FCM_REQUIRE(options.trials_per_block > 0,
               "trial block size must be positive");
-  FCM_REQUIRE(assignment.hw_of.size() == clustering.partition.cluster_count,
-              "assignment does not cover every cluster");
   FCM_REQUIRE(options.tilt >= 0.0 && options.tilt < 1.0,
               "tilt must be in [0, 1)");
   FCM_OBS_SPAN("rare_event.estimate");
 
-  const std::vector<ProcessInfo> processes = group_processes(sw);
   const graph::Partition& partition = clustering.partition;
+  dependability::MissionTrial trial(sw, partition, assignment, hw,
+                                    options.sw_fault, options.propagate);
   const Rng master(seed);
-
-  WorkerScratch pilot_scratch;
-  pilot_scratch.hw_failed.resize(hw.node_count());
-  pilot_scratch.module_failed.resize(sw.node_count());
-  pilot_scratch.edge_state.resize(sw.influence_graph().edge_count());
 
   // ---- Tilt selection: explicit, or the multilevel pilot ladder. Levels
   // escalate geometrically from the nominal probability until failures are
@@ -209,10 +117,9 @@ RareEventEstimate estimate_rare_event(const mapping::SwGraph& sw,
         const std::uint32_t last =
             exec::block_end(pilot_trials, options.trials_per_block, b);
         BlockTally tally;
-        run_block(sw, partition, assignment, hw.node_count(), options,
-                  processes, tilt,
+        run_block(trial, options, tilt,
                   master.substream(kPilotBase + level * kPilotStride + b),
-                  first, last, pilot_scratch, tally);
+                  first, last, tally);
         pilot_hits += tally.hits;
       }
       const double hit_rate =
@@ -233,12 +140,7 @@ RareEventEstimate estimate_rare_event(const mapping::SwGraph& sw,
       exec::resolve_threads(options.threads, block_count);
 
   std::vector<BlockTally> tallies(block_count);
-  std::vector<WorkerScratch> scratch(threads);
-  for (WorkerScratch& s : scratch) {
-    s.hw_failed.resize(hw.node_count());
-    s.module_failed.resize(sw.node_count());
-    s.edge_state.resize(sw.influence_graph().edge_count());
-  }
+  std::vector<dependability::MissionTrial> lanes(threads, trial);
   exec::parallel_for_blocks(
       block_count, threads, [&](std::uint64_t b, std::uint32_t lane) {
         const std::uint32_t block = static_cast<std::uint32_t>(b);
@@ -246,9 +148,8 @@ RareEventEstimate estimate_rare_event(const mapping::SwGraph& sw,
         const std::uint32_t last =
             exec::block_end(options.trials, block_size, block);
         FCM_OBS_SPAN("rare_event.block", block);
-        run_block(sw, partition, assignment, hw.node_count(), options,
-                  processes, tilt, master.substream(block), first, last,
-                  scratch[lane], tallies[block]);
+        run_block(lanes[lane], options, tilt, master.substream(block), first,
+                  last, tallies[block]);
       });
 
   NeumaierSum weighted_fail, weighted_fail_sq, weight, weight_sq;

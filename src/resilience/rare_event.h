@@ -90,6 +90,8 @@ struct RareEventEstimate {
 
 /// Runs the estimator for the mapping's critical-service survival under the
 /// mission model. Bitwise-identical results for every `options.threads`.
+/// Throws InvalidArgument when the mapping does not fit `sw` and `hw`
+/// (see dependability::MissionTrial).
 [[nodiscard]] RareEventEstimate estimate_rare_event(
     const mapping::SwGraph& sw, const mapping::ClusteringResult& clustering,
     const mapping::Assignment& assignment, const mapping::HwGraph& hw,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/error.h"
 #include "core/example98.h"
 #include "dependability/reliability.h"
 
@@ -195,6 +196,28 @@ TEST(MonteCarlo, AllNodesFailingLosesEverything) {
     total_criticality += spec.criticality;
   }
   EXPECT_DOUBLE_EQ(report.expected_criticality_loss, total_criticality);
+}
+
+// A mapping must fit its SW graph and platform; otherwise the trial would
+// read past its per-node host and failure tables.
+TEST(MonteCarlo, MappingThatDoesNotFitItsPlatformIsRejected) {
+  Fixture fx;
+  const auto m = fx.map_with_h1();
+  MissionModel mission;
+  mission.hw_failure = Probability(0.1);
+  mission.trials = 100;
+
+  mapping::Assignment shifted = m.assignment;
+  for (HwNodeId& host : shifted.hw_of) host = HwNodeId(host.value() + 40);
+  EXPECT_THROW(evaluate_mapping(fx.sw, m.clustering, shifted,
+                                mapping::HwGraph::complete(2), mission, 7),
+               InvalidArgument);
+
+  mapping::ClusteringResult truncated = m.clustering;
+  truncated.partition.cluster_of.resize(3);
+  EXPECT_THROW(evaluate_mapping(fx.sw, truncated, m.assignment, fx.hw,
+                                mission, 7),
+               InvalidArgument);
 }
 
 }  // namespace

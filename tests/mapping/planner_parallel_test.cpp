@@ -1,11 +1,15 @@
-// The best_plan heuristic sweep must pick the same plan for every
-// `sweep_threads` value: candidates are independent, and the winner is
-// selected sequentially over the fixed heuristic order.
+// The best_plan heuristic sweep must pick the same plan, and count the same
+// work, for every `sweep_threads` value: candidates are independent, and the
+// winner is selected sequentially over the fixed heuristic order.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "common/error.h"
 #include "core/example98.h"
 #include "mapping/planner.h"
+#include "obs/obs.h"
 
 namespace fcm::mapping {
 namespace {
@@ -59,17 +63,42 @@ TEST(PlannerParallel, InfeasiblePlatformThrowsForAnyThreadCount) {
   }
 }
 
-TEST(PlannerParallel, ParallelSweepStillAccumulatesCacheStats) {
+#if FCM_OBS_ENABLED
+// What best_plan adds to every work counter. The executor's scheduling
+// telemetry (exec.sched.*) is exempt, as in CI's metric compares.
+std::map<std::string, std::uint64_t> sweep_counters(std::uint32_t threads) {
   core::example98::Instance instance = make_instance();
   const HwGraph hw = HwGraph::complete(6);
   PlanOptions options;
-  options.sweep_threads = 4;
-  IntegrationPlanner planner(instance.hierarchy, instance.influence,
-                             instance.processes, hw, options);
+  options.sweep_threads = threads;
+  const IntegrationPlanner planner(instance.hierarchy, instance.influence,
+                                   instance.processes, hw, options);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto before = obs::MetricsRegistry::global().snapshot().counters;
   (void)planner.best_plan();
-  const core::CacheStats stats = planner.separation_cache_stats();
-  EXPECT_GT(stats.hits + stats.misses, 0u);
+  const auto after = obs::MetricsRegistry::global().snapshot().counters;
+  obs::set_enabled(was_enabled);
+  std::map<std::string, std::uint64_t> delta;
+  for (const auto& [name, value] : after) {
+    if (name.starts_with("exec.sched.")) continue;
+    const auto it = before.find(name);
+    const std::uint64_t base = it == before.end() ? 0 : it->second;
+    if (value != base) delta[name] = value - base;
+  }
+  return delta;
 }
+
+// Counter totals are part of the determinism contract: one lane and four
+// do the same work, on every run.
+TEST(PlannerParallel, SweepCountersDoNotDependOnThreads) {
+  const std::map<std::string, std::uint64_t> sequential = sweep_counters(1);
+  EXPECT_EQ(sequential.at("planner.candidates"), 7u);
+  for (int run = 0; run < 4; ++run) {
+    EXPECT_EQ(sweep_counters(4), sequential) << "run " << run;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace fcm::mapping

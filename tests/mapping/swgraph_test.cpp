@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.h"
 #include "core/example98.h"
 
@@ -166,6 +169,44 @@ TEST(SwGraph, SubsetKeepsReplicaLinksAndIndices) {
     if (edge.weight == 0.0) replica_link = true;
   }
   EXPECT_TRUE(replica_link);
+}
+
+TEST(SwGraph, ProcessesGroupReplicasUnderTheProcessName) {
+  const Instance instance = make_instance();
+  const SwGraph sw = example_graph(instance);
+  const std::vector<SwProcess> processes = sw.processes();
+  ASSERT_EQ(processes.size(), instance.processes.size());
+  for (std::size_t p = 0; p < processes.size(); ++p) {
+    const core::Fcm& fcm = instance.hierarchy.get(instance.processes[p]);
+    EXPECT_EQ(processes[p].origin, fcm.id);
+    EXPECT_EQ(processes[p].name, fcm.name);  // "p1", not replica "p1a"
+    EXPECT_EQ(processes[p].replication, fcm.attributes.replication);
+    EXPECT_EQ(processes[p].criticality, fcm.attributes.criticality);
+    ASSERT_EQ(processes[p].replicas.size(),
+              static_cast<std::size_t>(fcm.attributes.replication));
+    EXPECT_TRUE(std::is_sorted(processes[p].replicas.begin(),
+                               processes[p].replicas.end()));
+    for (const graph::NodeIndex v : processes[p].replicas) {
+      EXPECT_EQ(sw.node(v).origin, fcm.id);
+    }
+  }
+
+  // In a subset the name stays bare while the process is still replicated;
+  // a lone survivor is a simplex and keeps its replica name.
+  const std::vector<graph::NodeIndex>& p1 = processes.front().replicas;
+  const SwGraph duplex = sw.subset({p1[1], p1[2]});
+  EXPECT_EQ(duplex.processes().front().name, "p1");
+  EXPECT_EQ(duplex.processes().front().replication, 2);
+  const SwGraph simplex = sw.subset({p1[2]});
+  EXPECT_EQ(simplex.processes().front().name, "p1c");
+}
+
+TEST(MinOkReplicas, OneForSimplexAndDuplexAMajorityFromTmr) {
+  EXPECT_EQ(min_ok_replicas(1, 1), 1);
+  EXPECT_EQ(min_ok_replicas(2, 2), 1);
+  EXPECT_EQ(min_ok_replicas(3, 3), 2);
+  EXPECT_EQ(min_ok_replicas(4, 4), 3);
+  EXPECT_EQ(min_ok_replicas(5, 5), 3);
 }
 
 TEST(SwGraph, SubsetRejectsMalformedKeepLists) {

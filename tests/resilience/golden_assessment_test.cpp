@@ -1,0 +1,176 @@
+// Golden assessment bytes: Monte Carlo, rare-event, adversary, replan and
+// campaign reports pinned across commits, not only across threads.
+//
+// The files under tests/resilience/golden/ were captured before the two
+// samplers shared one mission trial and the resilience layer shared one
+// process view. The one-shot cases are exactly what `fcm_tool` prints:
+//   fcm_tool depend [--hw N] [--q P] [--trials N] --threads 1
+//   fcm_tool resilience --rare-event [--synthetic P] [--hw N] [--q P]
+//       [--tilt Q]
+//   fcm_tool resilience --adversary [--synthetic P --hw N --restarts R
+//       --iterations I]
+//   fcm_tool replan [--hw N] --fail LIST [--heuristic H --approach A]
+//   fcm_tool resilience [--trials N --seed S]
+// The sampler cases with intrinsic SW faults have no CLI path; they render
+// the library reports directly. Regenerate the files only for an intended
+// output change.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "core/example98.h"
+#include "dependability/montecarlo.h"
+#include "mapping/planner.h"
+#include "resilience/campaign.h"
+#include "resilience/rare_event.h"
+#include "serve/protocol.h"
+#include "serve/query.h"
+
+namespace fcm::resilience {
+namespace {
+
+using serve::protocol::Opcode;
+
+std::string golden(const std::string& name) {
+  std::ifstream in(std::string(FCM_ASSESSMENT_GOLDEN_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << "missing golden file " << name;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+std::string one_shot(Opcode opcode, const std::string& payload) {
+  return serve::QueryEngine::one_shot(opcode, payload).text;
+}
+
+struct Case {
+  const char* payload;
+  const char* file;
+};
+
+void expect_one_shot(Opcode opcode, std::initializer_list<Case> cases) {
+  for (const Case& c : cases) {
+    EXPECT_EQ(one_shot(opcode, c.payload), golden(c.file)) << c.payload;
+  }
+}
+
+TEST(GoldenAssessments, Depend) {
+  expect_one_shot(Opcode::kDepend,
+                  {{"threads=1", "depend.txt"},
+                   {"q=0.2 trials=5000 threads=1", "depend_q0.2_t5000.txt"},
+                   {"hw=6 q=0.1 trials=3000 threads=1",
+                    "depend_hw6_q0.1_t3000.txt"}});
+}
+
+TEST(GoldenAssessments, RareEvent) {
+  expect_one_shot(Opcode::kRareEvent,
+                  {{"", "rare_event.json"},
+                   {"q=0.01", "rare_event_q0.01.json"},
+                   {"q=0.001 tilt=0.2", "rare_event_q0.001_tilt0.2.json"},
+                   {"model=synthetic-64-42 hw=21 q=0.01",
+                    "rare_event_synthetic-64-42_hw21_q0.01.json"}});
+}
+
+TEST(GoldenAssessments, Adversary) {
+  expect_one_shot(Opcode::kAdversary,
+                  {{"", "adversary.json"},
+                   {"model=synthetic-32-42 hw=12 restarts=2 iterations=4",
+                    "adversary_synthetic-32-42_hw12.json"}});
+}
+
+TEST(GoldenAssessments, Replan) {
+  expect_one_shot(Opcode::kReplan,
+                  {{"fail=0,2", "replan_fail02.txt"},
+                   {"fail=0,1 heuristic=h2 approach=b",
+                    "replan_fail01_h2_b.txt"},
+                   {"hw=4 fail=0,1,2", "replan_hw4_fail012.txt"}});
+}
+
+struct Mapped {
+  core::example98::Instance instance = core::example98::make_instance();
+  mapping::HwGraph hw;
+  mapping::SwGraph sw;
+  mapping::Plan plan;
+
+  explicit Mapped(std::size_t hw_nodes)
+      : hw(mapping::HwGraph::complete(hw_nodes)) {
+    mapping::IntegrationPlanner planner(instance.hierarchy, instance.influence,
+                                        instance.processes, hw);
+    plan = planner.best_plan();
+    sw = planner.sw_graph();
+  }
+};
+
+// What `fcm_tool resilience` prints: the standard grid of the best plan.
+std::string campaign_json(std::size_t hw_nodes, std::uint32_t trials,
+                          std::uint64_t seed) {
+  const Mapped m(hw_nodes);
+  const graph::Partition& partition = m.plan.clustering.partition;
+  CampaignOptions options;
+  options.trials = trials;
+  const ResilienceReport report = run_campaign(
+      m.sw, partition, m.plan.assignment, m.hw,
+      standard_grid(m.sw, partition, m.plan.assignment, m.hw), seed,
+      options);
+  return to_json(report) + "\n";
+}
+
+TEST(GoldenAssessments, Campaign) {
+  EXPECT_EQ(campaign_json(core::example98::kHwNodes, 96, 2026),
+            golden("campaign.json"));
+  EXPECT_EQ(campaign_json(6, 64, 7), golden("campaign_hw6_t64_seed7.json"));
+}
+
+std::string render(const dependability::DependabilityReport& report) {
+  std::string text;
+  char line[96];
+  for (const double survival : report.process_survival) {
+    std::snprintf(line, sizeof(line), "process %.17g\n", survival);
+    text += line;
+  }
+  std::snprintf(line, sizeof(line), "system %.17g\ncritical %.17g\n",
+                report.system_survival, report.critical_survival);
+  text += line;
+  std::snprintf(line, sizeof(line), "loss %.17g\n",
+                report.expected_criticality_loss);
+  text += line;
+  return text;
+}
+
+// Intrinsic SW faults draw a lottery per live replica, and propagation
+// samples edges: the two draws the CLI paths (sw_fault 0) never make.
+TEST(GoldenAssessments, SamplersWithSoftwareFaults) {
+  const Mapped m(core::example98::kHwNodes);
+  for (const bool propagate : {true, false}) {
+    const std::string suffix = propagate ? "" : "_no_propagation";
+    dependability::MissionModel mission;
+    mission.hw_failure = Probability(0.05);
+    mission.sw_fault = Probability(0.02);
+    mission.propagate = propagate;
+    mission.trials = 6000;
+    mission.trials_per_block = 1000;
+    EXPECT_EQ(render(dependability::evaluate_mapping(
+                  m.sw, m.plan.clustering, m.plan.assignment, m.hw, mission,
+                  11)),
+              golden("montecarlo_sw0.02" + suffix + ".txt"))
+        << propagate;
+
+    RareEventOptions options;
+    options.hw_failure = Probability(0.01);
+    options.sw_fault = Probability(0.002);
+    options.propagate = propagate;
+    options.trials = 3000;
+    EXPECT_EQ(to_json(estimate_rare_event(m.sw, m.plan.clustering,
+                                          m.plan.assignment, m.hw, options,
+                                          11)) +
+                  "\n",
+              golden("rare_event_sw0.002" + suffix + ".json"))
+        << propagate;
+  }
+}
+
+}  // namespace
+}  // namespace fcm::resilience

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/error.h"
 #include "common/simd.h"
 #include "core/example98.h"
 #include "dependability/montecarlo.h"
@@ -189,6 +190,26 @@ TEST(RareEvent, JsonCarriesTheContractFields) {
         "\"bound_consistent\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+}
+
+TEST(RareEvent, MappingThatDoesNotFitItsPlatformIsRejected) {
+  const Mapping& m = mapping98();
+  RareEventOptions options;
+  options.hw_failure = Probability(0.05);
+  options.trials = 256;
+
+  mapping::Assignment shifted = m.plan.assignment;
+  for (HwNodeId& host : shifted.hw_of) host = HwNodeId(host.value() + 40);
+  EXPECT_THROW((void)estimate_rare_event(m.sw, m.plan.clustering, shifted,
+                                         mapping::HwGraph::complete(2),
+                                         options, 2026),
+               InvalidArgument);
+
+  mapping::ClusteringResult truncated = m.plan.clustering;
+  truncated.partition.cluster_of.resize(3);
+  EXPECT_THROW((void)estimate_rare_event(m.sw, truncated, m.plan.assignment,
+                                         m.hw, options, 2026),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -246,6 +246,23 @@ TEST(Replanner, TotalLossIsInfeasibleNotAnError) {
   EXPECT_EQ(std::set<core::Criticality>(lost.begin(), lost.end()), levels);
 }
 
+TEST(Replanner, TotalLossNamesProcessesLikeEveryReplan) {
+  const Mapping& m = mapping98();
+  std::vector<HwNodeId> failed;
+  for (std::uint32_t n = 0; n < m.hw.node_count(); ++n) {
+    failed.emplace_back(n);
+  }
+  const ReplanResult total = replan(m, failed);
+  const ReplanResult single = replan(m, {HwNodeId(0)});
+  ASSERT_EQ(total.processes.size(), single.processes.size());
+  for (std::size_t p = 0; p < total.processes.size(); ++p) {
+    EXPECT_EQ(total.processes[p].name, single.processes[p].name);
+    EXPECT_EQ(total.processes[p].replicas_before,
+              single.processes[p].replicas_before);
+  }
+  EXPECT_EQ(total.processes.front().name, "p1");  // not replica "p1a"
+}
+
 TEST(Replanner, RejectsMalformedInputs) {
   const Mapping& m = mapping98();
   EXPECT_THROW(replan(m, {HwNodeId(99)}), InvalidArgument);
