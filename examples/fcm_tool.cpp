@@ -21,11 +21,10 @@
 // cmp(1)s them to keep it that way).
 //
 // Every command also accepts --metrics (dump the fcm::obs registry after
-// the run), --trace FILE (write a chrome://tracing span file), and
-// --simd scalar|simd (kernel backend override; FCM_SIMD is the env
-// default — purely a speed knob, reports are byte-identical). Options
-// are validated strictly: unknown options, missing values, and malformed
-// numbers print a one-line error plus usage and exit non-zero.
+// the run) and --trace FILE (write a chrome://tracing span file). Options
+// are validated strictly: unknown options, missing values, malformed
+// numbers and out-of-range values print a one-line error plus usage and
+// exit 2.
 #include <atomic>
 #include <csignal>
 #include <fstream>
@@ -35,7 +34,6 @@
 
 #include "fcm.h"
 #include "common/cliopt.h"
-#include "common/simd.h"
 #include "common/table.h"
 #include "core/report.h"
 #include "obs/obs.h"
@@ -60,8 +58,7 @@ const std::vector<CommandSpec> kCommands = {
     {"influence", {}},
     {"separation", {{"order"}, {"threads"}}},
     {"plan",
-     {{"hw"}, {"heuristic"}, {"approach"}, {"sweep-threads"}, {"synthetic"},
-      {"seed"}}},
+     {{"hw"}, {"heuristic"}, {"approach"}, {"synthetic"}, {"seed"}}},
     {"depend", {{"hw"}, {"q"}, {"trials"}, {"threads"}}},
     {"replan", {{"hw"}, {"fail"}, {"heuristic"}, {"approach"}}},
     {"resilience",
@@ -86,13 +83,11 @@ int usage() {
       "  report                              full system report\n"
       "  influence                           Fig. 3 graph + 4.2.4 roles\n"
       "  separation [--order K] [--threads T]  Eq. 3 separation matrix\n"
-      "  plan [--hw N] [--heuristic H] [--approach a|b] [--sweep-threads T]\n"
-      "       [--synthetic P] [--seed S]\n"
-      "       H in {h1, h1r, h1h, h2, h3, crit, timing, best}; T\n"
-      "       parallelizes the 'best' sweep (0 = all cores, same plan for\n"
-      "       every T); --synthetic plans a deterministic seeded random\n"
-      "       system of P processes instead of example98 (h1h scales to\n"
-      "       thousands)\n"
+      "  plan [--hw N] [--heuristic H] [--approach a|b] [--synthetic P]\n"
+      "       [--seed S]\n"
+      "       H in {h1, h1r, h1h, h2, h3, crit, timing, best}; --synthetic\n"
+      "       plans a deterministic seeded random system of P processes\n"
+      "       instead of example98 (h1h scales to thousands)\n"
       "  depend [--hw N] [--q P] [--trials N] [--threads T]\n"
       "       Monte Carlo evaluation; T=0 uses all cores, the estimates\n"
       "       are identical for every T\n"
@@ -138,12 +133,8 @@ int usage() {
       "global options (any command):\n"
       "  --metrics                           dump the fcm::obs registry\n"
       "  --trace FILE                        write chrome://tracing spans\n"
-      "  --simd scalar|simd                  kernel backend (speed only;\n"
-      "                                      reports are byte-identical)\n"
-      "every --threads/--sweep-threads default is 0 = auto: the FCM_THREADS\n"
-      "environment variable if set, otherwise all hardware cores; --simd\n"
-      "similarly defaults to the FCM_SIMD environment variable if set,\n"
-      "otherwise the best backend this build and CPU support\n";
+      "every --threads default is 0 = auto: the FCM_THREADS environment\n"
+      "variable if set, otherwise all hardware cores\n";
   return 2;
 }
 
@@ -169,6 +160,7 @@ int cmd_separation(const cli::Options& args) {
   const auto instance = core::example98::make_instance();
   core::SeparationOptions options;
   options.max_order = args.get_int("order", 6);
+  if (options.max_order < 1) throw cli::CliError("--order must be >= 1");
   options.threads = args.get_count("threads", 0);
   const core::SeparationAnalysis analysis(instance.influence, options);
   std::vector<std::string> headers{"sep"};
@@ -231,8 +223,7 @@ int cmd_plan(const cli::Options& args) {
        std::vector<std::pair<std::string, std::string>>{
            {"hw", "hw"},
            {"heuristic", "heuristic"},
-           {"approach", "approach"},
-           {"sweep-threads", "sweep_threads"}}) {
+           {"approach", "approach"}}) {
     forward(args, cli_name, param_name, payload);
   }
   const serve::QueryResult result =
@@ -472,7 +463,6 @@ int main(int argc, char** argv) {
     std::vector<cli::OptionSpec> options = spec->options;
     options.push_back({"metrics", /*takes_value=*/false});
     options.push_back({"trace", /*takes_value=*/true});
-    options.push_back({"simd", /*takes_value=*/true});
     args = cli::parse_options(argc, argv, 2, options);
   } catch (const cli::CliError& error) {
     std::cerr << "error: " << error.what() << '\n';
@@ -482,19 +472,6 @@ int main(int argc, char** argv) {
   const bool dump_metrics = args.flag("metrics");
   const std::string trace_path = args.get("trace", "");
   if (dump_metrics || !trace_path.empty()) obs::set_enabled(true);
-
-  // Kernel backend: --simd beats FCM_SIMD beats the best available (the
-  // FCM_THREADS precedence model). Purely a speed knob — every backend is
-  // differential-tested to byte-identical reports.
-  if (const std::string simd_name = args.get("simd", ""); !simd_name.empty()) {
-    const auto backend = simd::parse_backend(simd_name);
-    if (!backend) {
-      std::cerr << "error: --simd must be scalar or simd; got '"
-                << simd_name << "'\n";
-      return usage();
-    }
-    simd::set_backend(*backend);
-  }
 
   try {
     const int status = run_command(command, args);

@@ -24,12 +24,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) noexcept
   (*this)();
 }
 
-void Rng::advance(std::uint64_t delta) noexcept {
-  // Brown's O(log delta) LCG jump (shared with the leapfrogged SIMD lanes).
-  const rng_detail::Jump jump = rng_detail::jump_coefficients(inc_, delta);
-  state_ = jump.mult * state_ + jump.plus;
-}
-
 Rng Rng::substream(std::uint64_t index) const noexcept {
   // Pure in (seed_, stream_, index): never reads state_, so the result is
   // identical regardless of how many draws the parent has made. The seed
@@ -41,20 +35,6 @@ Rng Rng::substream(std::uint64_t index) const noexcept {
   const std::uint64_t child_stream =
       splitmix64(stream_ + 0x632BE59BD9B4E019ULL * (index + 1));
   return Rng(child_seed, child_stream);
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t old = state_;
-  state_ = rng_detail::step(old, inc_);
-  return rng_detail::output(old);
-}
-
-double Rng::uniform() noexcept {
-  // 53 random bits -> double in [0,1).
-  const std::uint64_t hi = (*this)();
-  const std::uint64_t lo = (*this)();
-  const std::uint64_t bits = ((hi << 32) | lo) >> 11;
-  return static_cast<double>(bits) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -77,8 +57,6 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint32_t>(hi - lo + 1);
   return lo + static_cast<std::int64_t>(below(span));
 }
-
-bool Rng::chance(Probability p) noexcept { return uniform() < p.value(); }
 
 double Rng::exponential(double rate) noexcept {
   return -std::log(1.0 - uniform()) / rate;

@@ -14,57 +14,6 @@
 
 namespace fcm {
 
-class BatchRng;
-
-/// PCG-XSH-RR 64/32 internals, shared between the scalar `Rng` and the
-/// batched SIMD uniform generators (src/common/simd.h). Exposing exactly the
-/// multiplier, the output permutation, and the LCG jump coefficients lets
-/// every backend reproduce the one canonical stream bit-for-bit.
-namespace rng_detail {
-
-inline constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
-
-/// One LCG step: the state that follows `state`.
-constexpr std::uint64_t step(std::uint64_t state, std::uint64_t inc) noexcept {
-  return state * kMultiplier + inc;
-}
-
-/// XSH-RR output permutation applied to the *pre-step* state.
-constexpr std::uint32_t output(std::uint64_t old) noexcept {
-  const auto xorshifted =
-      static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-  const auto rot = static_cast<std::uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-/// Composite (multiplier, increment) of `delta` sequential LCG steps:
-/// advancing by delta equals `state * mult + plus`. Brown's O(log delta)
-/// repeated-squaring jump, factored out so leapfrogged SIMD lanes can stride
-/// the stream with one fused multiply-add per lane per iteration.
-struct Jump {
-  std::uint64_t mult = 1;
-  std::uint64_t plus = 0;
-};
-
-constexpr Jump jump_coefficients(std::uint64_t inc,
-                                 std::uint64_t delta) noexcept {
-  std::uint64_t cur_mult = kMultiplier;
-  std::uint64_t cur_plus = inc;
-  Jump acc;
-  while (delta > 0) {
-    if (delta & 1u) {
-      acc.mult *= cur_mult;
-      acc.plus = acc.plus * cur_mult + cur_plus;
-    }
-    cur_plus = (cur_mult + 1) * cur_plus;
-    cur_mult *= cur_mult;
-    delta >>= 1u;
-  }
-  return acc;
-}
-
-}  // namespace rng_detail
-
 /// PCG-XSH-RR 64/32 generator. Small, fast, and statistically strong enough
 /// for simulation workloads; not for cryptographic use.
 class Rng {
@@ -75,11 +24,6 @@ class Rng {
   /// sequences for the same seed (used to decorrelate per-module fault
   /// processes that share an experiment seed).
   explicit Rng(std::uint64_t seed, std::uint64_t stream = 0) noexcept;
-
-  /// Jump-ahead: advances the generator by `delta` steps in O(log delta)
-  /// (the standard LCG matrix-exponentiation jump). `advance(n)` leaves the
-  /// generator in exactly the state reached by calling operator() n times.
-  void advance(std::uint64_t delta) noexcept;
 
   /// Counter-based stream split: derives the `index`-th child generator as
   /// a pure function of this generator's *seeding identity* (seed, stream)
@@ -93,11 +37,24 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return 0xFFFFFFFFu; }
 
-  /// Next raw 32-bit value.
-  result_type operator()() noexcept;
+  /// Next raw 32-bit value: one LCG step, and the XSH-RR output
+  /// permutation of the pre-step state.
+  result_type operator()() noexcept {
+    const std::uint64_t old = state_;
+    state_ = old * 6364136223846793005ULL + inc_;
+    const auto xorshifted =
+        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+    const auto rot = static_cast<std::uint32_t>(old >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
 
-  /// Uniform double in [0,1).
-  double uniform() noexcept;
+  /// Uniform double in [0,1): two raw draws, high word first, 53 bits kept.
+  double uniform() noexcept {
+    const std::uint64_t hi = (*this)();
+    const std::uint64_t lo = (*this)();
+    const std::uint64_t bits = ((hi << 32) | lo) >> 11;
+    return static_cast<double>(bits) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo,hi).
   double uniform(double lo, double hi) noexcept;
@@ -109,7 +66,7 @@ class Rng {
   std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Bernoulli trial with success probability p.
-  bool chance(Probability p) noexcept;
+  bool chance(Probability p) noexcept { return uniform() < p.value(); }
 
   /// Exponentially distributed value with the given rate (mean 1/rate).
   double exponential(double rate) noexcept;
@@ -129,10 +86,6 @@ class Rng {
   Rng fork() noexcept;
 
  private:
-  // BatchRng continues this generator's exact stream through the batched
-  // SIMD uniform kernels; it needs the raw LCG state to do so.
-  friend class BatchRng;
-
   std::uint64_t state_;
   std::uint64_t inc_;
   // Seeding identity, retained so substream() is a pure function of

@@ -1,10 +1,10 @@
 #include "core/separation.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/error.h"
-#include "common/simd.h"
 #include "graph/series.h"
 #include "obs/obs.h"
 
@@ -33,20 +33,19 @@ Probability SeparationAnalysis::separation(std::size_t i,
 
 Probability SeparationAnalysis::min_separation() const {
   FCM_REQUIRE(series_.size() >= 2, "separation needs at least two members");
-  // Batched row kernel: min over clamp01(1 - s[i][j]) for j != i. The fold
-  // is reorder-safe — every operand is clamped to [0,1] first (NaN -> 0, the
-  // Probability::clamped contract), and min over non-NaN values is
-  // order-independent — so splitting each row at the diagonal and
-  // vectorizing inside the segments reproduces the serial scan exactly.
+  // Min over the off-diagonal separations under the Probability::clamped
+  // rule (NaN -> 0, then clamp to [0,1]); min over clamped values does not
+  // depend on the scan order.
   const std::size_t n = series_.size();
   const double* data = series_.data();
-  const simd::KernelTable& kernels = simd::kernels();
   double min_value = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double* row = data + i * n;
-    min_value = std::min(min_value, kernels.min_complement(row, i));
-    min_value = std::min(
-        min_value, kernels.min_complement(row + i + 1, n - i - 1));
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const double c = 1.0 - data[i * n + j];
+      min_value = std::min(min_value, std::isnan(c) ? 0.0
+                                                    : std::clamp(c, 0.0, 1.0));
+    }
   }
   return Probability::clamped(min_value);
 }

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 
-#include "common/batch_rng.h"
 #include "common/error.h"
 #include "common/ksum.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "exec/executor.h"
 #include "obs/obs.h"
 
@@ -41,20 +39,28 @@ MissionTrial::MissionTrial(const mapping::SwGraph& sw,
   }
 }
 
-void MissionTrial::run(BatchRng& batch, double host_failure) {
-  // 1. HW node failures: one fused SoA lottery batch per trial (identical
-  // flags to fill + less_than, without materializing the uniforms).
-  batch.bernoulli(host_failure, hw_failed_.data(), hw_failed_.size());
+void MissionTrial::run(Rng& stream, double host_failure) {
+  // Draw from a local copy and hand its state back at the end: the
+  // byte-flag stores below may alias the caller's generator, which would
+  // send its state through memory on every draw.
+  Rng rng = stream;
+  // 1. HW node failures: one lottery per node, in node order.
+  for (std::uint8_t& failed : hw_failed_) {
+    failed = static_cast<std::uint8_t>(rng.uniform() < host_failure);
+  }
   // 2. Module failures: host HW down, or intrinsic SW fault. The
   // short-circuit is load-bearing: a module on a dead host draws no SW
   // fault lottery.
   for (std::size_t v = 0; v < host_of_.size(); ++v) {
     module_failed_[v] = static_cast<std::uint8_t>(
-        hw_failed_[host_of_[v]] != 0 || batch.chance(sw_fault_));
+        hw_failed_[host_of_[v]] != 0 || rng.chance(sw_fault_));
   }
   // 3. Propagation along influence edges to a fixed point. Each edge is
   // sampled at most once per trial (a module corrupts a neighbor or not).
-  if (!propagate_) return;
+  if (!propagate_) {
+    stream = rng;
+    return;
+  }
   std::fill(edge_state_.begin(), edge_state_.end(),
             static_cast<std::int8_t>(-1));
   const std::vector<graph::Edge>& edges = *edges_;
@@ -67,8 +73,8 @@ void MissionTrial::run(BatchRng& batch, double host_failure) {
       if (!module_failed_[edge.from] || module_failed_[edge.to]) continue;
       if (edge.weight <= 0.0) continue;  // replica links don't propagate
       if (edge_state_[e] < 0) {
-        edge_state_[e] = batch.chance(Probability::clamped(edge.weight)) ? 1
-                                                                         : 0;
+        edge_state_[e] = rng.chance(Probability::clamped(edge.weight)) ? 1
+                                                                       : 0;
         ++edges_sampled_;
       }
       if (edge_state_[e] == 1) {
@@ -77,6 +83,7 @@ void MissionTrial::run(BatchRng& batch, double host_failure) {
       }
     }
   }
+  stream = rng;
 }
 
 namespace {
@@ -99,13 +106,8 @@ void run_block(MissionTrial& trial, const MissionModel& mission,
   const std::vector<mapping::SwProcess>& processes = trial.processes();
   tally.survived.assign(processes.size(), 0);
   NeumaierSum loss_sum;
-  // BatchRng continues rng's exact stream through the SIMD backends:
-  // uniforms are generated in batches and consumed in the same order and
-  // under the same conditions, so every sampled value is bit-identical to
-  // the serial engine for every backend and thread count.
-  BatchRng batch(rng);
   for (std::uint32_t t = first_trial; t < last_trial; ++t) {
-    trial.run(batch, mission.hw_failure.value());
+    trial.run(rng, mission.hw_failure.value());
     bool everything = true, critical = true;
     double lost = 0.0;
     for (std::size_t p = 0; p < processes.size(); ++p) {

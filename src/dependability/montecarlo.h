@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/batch_rng.h"
 #include "common/probability.h"
+#include "common/rng.h"
 #include "mapping/assignment.h"
 #include "mapping/clustering.h"
 #include "mapping/hw.h"
@@ -70,10 +70,13 @@ struct DependabilityReport {
 /// process delivers with `mapping::min_ok_replicas` good replicas.
 ///
 /// Built once per evaluation and copied per worker lane: a copy keeps its
-/// own failure flags, so lanes share no mutable state. A trial draws from
-/// the caller's stream in a fixed order (hosts, replicas in node order,
-/// edges in sweep order), so it is a pure function of that stream.
-class MissionTrial {
+/// own failure flags, so lanes share no mutable state. The copies sit side
+/// by side in one vector, so each starts on its own cache line: otherwise
+/// one lane's per-trial counter writes evict the next lane's fields. A
+/// trial draws from the caller's stream in a fixed order (hosts, replicas
+/// in node order, edges in sweep order), so it is a pure function of that
+/// stream.
+class alignas(64) MissionTrial {
  public:
   /// Throws InvalidArgument unless `partition` covers `sw`, `assignment`
   /// covers every cluster, and every host is a node of `hw`. The trial
@@ -85,7 +88,7 @@ class MissionTrial {
 
   /// Samples one trial in which each HW node fails with probability
   /// `host_failure`.
-  void run(BatchRng& batch, double host_failure);
+  void run(Rng& rng, double host_failure);
 
   /// The processes `delivered` indexes (SwGraph::processes order).
   [[nodiscard]] const std::vector<mapping::SwProcess>& processes()
@@ -123,7 +126,6 @@ class MissionTrial {
   std::vector<std::uint32_t> host_of_;  // per SW node
   Probability sw_fault_;
   bool propagate_;
-  // Byte flags, not vector<bool>, so the batched lottery writes them.
   std::vector<std::uint8_t> hw_failed_;
   std::vector<std::uint8_t> module_failed_;
   std::vector<std::int8_t> edge_state_;  // -1 unsampled, 0 no, 1 yes

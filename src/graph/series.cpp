@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/simd.h"
 #include "exec/executor.h"
 #include "graph/csr.h"
 #include "obs/obs.h"
@@ -28,21 +27,16 @@ constexpr std::size_t kRowsPerTask = 16;
 constexpr std::size_t kColBlock = 128;
 
 // term' rows [r0, r1) of term × p, dense and column-tiled. The nonzero
-// coefficients of the term row and their p rows are gathered once, then each
-// column tile goes through the fused axpy_rows kernel: per output element
-// the k-accumulation order still matches the reference loop exactly (the
-// kernel folds rows in ascending k per element, vectorizes across j only,
-// and never contracts mul+add), while out is loaded and stored once per
-// tile sweep instead of once per k.
+// coefficients of the term row and their p rows are gathered once; each
+// column tile then folds them in ascending k, so every output element sees
+// the reference loop's additions in the reference order while its tile of
+// `out` stays in cache across the k sweep.
 void dense_rows(const double* term, const double* p, double* next,
                 std::size_t n, std::size_t r0, std::size_t r1) {
-  const simd::KernelTable& kernels = simd::kernels();
   std::vector<double> coeffs;
   std::vector<const double*> rows;
-  std::vector<const double*> tile;
   coeffs.reserve(n);
   rows.reserve(n);
-  tile.reserve(n);
   for (std::size_t i = r0; i < r1; ++i) {
     double* out = next + i * n;
     std::fill(out, out + n, 0.0);
@@ -55,25 +49,23 @@ void dense_rows(const double* term, const double* p, double* next,
       coeffs.push_back(a);
       rows.push_back(p + k * n);
     }
-    if (coeffs.empty()) continue;
-    tile.resize(rows.size());
     for (std::size_t jb = 0; jb < n; jb += kColBlock) {
       const std::size_t je = std::min(n, jb + kColBlock);
-      for (std::size_t r = 0; r < rows.size(); ++r) tile[r] = rows[r] + jb;
-      kernels.axpy_rows(out + jb, tile.data(), coeffs.data(), rows.size(),
-                        je - jb);
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        const double a = coeffs[r];
+        const double* prow = rows[r];
+        for (std::size_t j = jb; j < je; ++j) out[j] += a * prow[j];
+      }
     }
   }
 }
 
 // term' rows [r0, r1) of term × p with p in CSR form: skips exactly the
 // p[k][j] == 0.0 contributions, which are additive no-ops for nonnegative
-// matrices. The per-k entry run goes through the lane-blocked CSR axpy
-// kernel; columns ascend within a run, so the scattered adds touch distinct
-// outputs and per-element values are unchanged.
+// matrices. Columns are distinct within a CSR row, so each scattered add
+// touches its own output and per-element values follow ascending k.
 void sparse_rows(const double* term, const CsrMatrix& p, double* next,
                  std::size_t n, std::size_t r0, std::size_t r1) {
-  const simd::KernelTable& kernels = simd::kernels();
   const std::uint32_t* cols = p.cols();
   const double* vals = p.values();
   for (std::size_t i = r0; i < r1; ++i) {
@@ -83,9 +75,10 @@ void sparse_rows(const double* term, const CsrMatrix& p, double* next,
     for (std::size_t k = 0; k < n; ++k) {
       const double a = trow[k];
       if (a == 0.0) continue;
-      const std::size_t begin = p.row_begin(k);
-      kernels.csr_axpy(out, cols + begin, vals + begin, a,
-                       p.row_end(k) - begin);
+      const std::size_t end = p.row_end(k);
+      for (std::size_t e = p.row_begin(k); e < end; ++e) {
+        out[cols[e]] += a * vals[e];
+      }
     }
   }
 }
@@ -149,7 +142,6 @@ Matrix power_series_sum(const Matrix& p, const SeriesOptions& options) {
       nonnegative &&
       fill <= (n >= kSparseLargeN ? kSparseFillLarge : kSparseFill);
   FCM_OBS_COUNT("series.fill_scans", 1);
-  FCM_OBS_GAUGE("series.fill_ratio", fill);
   FCM_OBS_COUNT(sparse ? "series.kernel.sparse" : "series.kernel.dense", 1);
 
   // In-place buffers: `sum` accumulates, `term` holds P^(order-1) and

@@ -11,7 +11,7 @@
 //               block reduction — totals are identical for every thread
 //               count and execution order as long as the *work partition* is
 //               thread-invariant.
-//   gauges      last-written doubles (fill ratio, worker count).
+//   gauges      last-written doubles (resolved worker counts).
 //   histograms  value distributions (span durations): count/min/max/sum plus
 //               fixed decade buckets.
 //

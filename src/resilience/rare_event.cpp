@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/batch_rng.h"
 #include "common/error.h"
 #include "common/ksum.h"
 #include "common/rng.h"
@@ -46,12 +45,11 @@ void run_block(dependability::MissionTrial& trial,
   const double ratio_fail = tilt > 0.0 ? q / tilt : 0.0;
   const double ratio_ok = tilt < 1.0 ? (1.0 - q) / (1.0 - tilt) : 0.0;
   const std::vector<mapping::SwProcess>& processes = trial.processes();
-  BatchRng batch(rng);
 
   for (std::uint32_t t = first_trial; t < last_trial; ++t) {
     // Only the host lottery is tilted; intrinsic SW faults and propagation
     // keep their nominal probabilities.
-    trial.run(batch, tilt);
+    trial.run(rng, tilt);
     double weight = 1.0;
     for (std::size_t n = 0; n < trial.hw_count(); ++n) {
       weight *= trial.host_failed(n) ? ratio_fail : ratio_ok;

@@ -132,6 +132,18 @@ int hw_nodes(const cli::Options& params) {
   return hw;
 }
 
+/// A probability parameter (q); NaN and values outside [0, 1] are request
+/// errors, not the Probability constructor's precondition failure.
+Probability probability_param(const cli::Options& params,
+                              const std::string& key, double fallback) {
+  const double value =
+      as_query_error([&] { return params.get_double(key, fallback); });
+  if (!(value >= 0.0 && value <= 1.0)) {
+    throw QueryError(key + " must be in [0, 1], got " + params.get(key, ""));
+  }
+  return Probability(value);
+}
+
 /// A non-negative count parameter (trials, threads, restarts, ...);
 /// negative values are request errors rather than 32-bit wraparounds.
 std::uint32_t count_param(const cli::Options& params, const std::string& key,
@@ -197,9 +209,9 @@ std::vector<HwNodeId> parse_failed(const std::string& list,
 
 }  // namespace
 
-/// One model×platform resident state: the planner (whose separation memo
-/// stays warm across requests) plus every plan it has computed. `mutex` serializes planning; evaluation of a cached plan
-/// runs outside the lock.
+/// One model×platform resident state: the planner plus every plan it has
+/// computed. `mutex` serializes planning; evaluation of a cached plan runs
+/// outside the lock.
 struct QueryEngine::PlatformState {
   mapping::HwGraph hw;
   mapping::IntegrationPlanner planner;
@@ -335,17 +347,13 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
 
     case protocol::Opcode::kMapping: {
       const cli::Options params = parse_params(
-          payload, {"model", "hw", "heuristic", "approach", "sweep_threads"});
+          payload, {"model", "hw", "heuristic", "approach"});
       const std::string model = model_name(params);
       const int hw = hw_nodes(params);
       const mapping::Approach approach =
           parse_approach(params.get("approach", "a"));
       const std::string heuristic = params.get("heuristic", "best");
       if (heuristic != "best") (void)parse_heuristic(heuristic);  // validate
-      // sweep_threads parallelizes the one-shot heuristic sweep; the
-      // resident planner caches plans instead, so only the value's shape
-      // matters here (the plan bytes are thread-invariant either way).
-      as_query_error([&] { return params.get_int("sweep_threads", 0); });
       PlatformState& state = platform(model, hw);
       const mapping::Plan& plan = state.plan_for(heuristic, approach);
       return {plan.report(state.planner.sw_graph(), state.hw),
@@ -361,11 +369,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
       const mapping::Plan& plan =
           state.plan_for("best", mapping::Approach::kAImportance);
       dependability::MissionModel mission;
-      as_query_error([&] {
-        mission.hw_failure =
-            Probability(params.get_double("q", kDefaultHwFailure));
-        return 0;
-      });
+      mission.hw_failure = probability_param(params, "q", kDefaultHwFailure);
       mission.trials = count_param(params, "trials", kDefaultTrials);
       mission.threads = count_param(params, "threads", 0);
       if (mission.trials == 0) throw QueryError("trials must be positive");
@@ -456,16 +460,16 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
       options.threads = count_param(params, "threads", 0);
       options.pilot_trials = count_param(params, "pilot", 512);
       options.max_levels = count_param(params, "levels", 6);
+      options.hw_failure = probability_param(params, "q", kDefaultHwFailure);
       as_query_error([&] {
-        options.hw_failure =
-            Probability(params.get_double("q", kDefaultHwFailure));
         options.tilt = params.get_double("tilt", 0.0);
         seed = static_cast<std::uint64_t>(
             params.get_int("seed", static_cast<int>(kDependSeed)));
         return 0;
       });
       if (options.trials == 0) throw QueryError("trials must be positive");
-      if (options.tilt < 0.0 || options.tilt >= 1.0) {
+      // Written so that NaN fails it too.
+      if (!(options.tilt >= 0.0 && options.tilt < 1.0)) {
         throw QueryError("tilt must be in [0, 1)");
       }
       const resilience::RareEventEstimate estimate =

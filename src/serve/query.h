@@ -5,10 +5,10 @@
 // text. Two cache layers make the resident path fast without ever changing
 // semantics:
 //
-//   * a plan cache per model×platform — the `IntegrationPlanner` (and its
-//     separation memo) is built once and every computed `Plan` is
-//     kept, so the heuristic sweep runs once per distinct (hw, heuristic,
-//     approach) instead of once per request;
+//   * a plan cache per model×platform — the `IntegrationPlanner` is built
+//     once and every computed `Plan` is kept, so the heuristic sweep runs
+//     once per distinct (hw, heuristic, approach) instead of once per
+//     request;
 //   * a response memo keyed on the exact (opcode, payload) pair — every
 //     query handler is a pure deterministic function of its parameters
 //     (Monte Carlo seeds are fixed constants, exactly as in `fcm_tool`), so

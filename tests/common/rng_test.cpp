@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -114,6 +116,47 @@ TEST(Rng, ShufflePreservesMultiset) {
   rng.shuffle(std::span<int>(items));
   EXPECT_TRUE(std::is_permutation(items.begin(), items.end(),
                                   original.begin()));
+}
+
+// Golden values pin the stream itself, not only its self-consistency: every
+// sampled estimate in the reports is a function of these bits. Captured
+// from the PCG-XSH-RR implementation; a change here changes every Monte
+// Carlo, campaign and rare-event figure.
+void expect_uniforms(Rng rng, const std::array<double, 8>& expected) {
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(rng.uniform(), expected[i]) << "draw " << i;
+  }
+}
+
+TEST(Rng, GoldenUniformStreams) {
+  expect_uniforms(Rng(2026),
+                  {0x1.778e8769d3e81p-1, 0x1.41456d7b0463p-3,
+                   0x1.993c976f4942p-2, 0x1.bca796293d8dp-2,
+                   0x1.f792d08a3db9dp-1, 0x1.c409d008212edp-1,
+                   0x1.c2731b3bb3e96p-2, 0x1.74a2e0e79d8ep-3});
+  expect_uniforms(Rng(7, 3),
+                  {0x1.b6f64e477bcp-1, 0x1.8a9ea4722f064p-2,
+                   0x1.aa1d5eac0c3acp-2, 0x1.7050966920e4cp-1,
+                   0x1.70608cc9bf6dcp-1, 0x1.533e512d1db3p-4,
+                   0x1.94d61a6600117p-1, 0x1.e3763842cb2d8p-1});
+  expect_uniforms(Rng(2026).substream(5),
+                  {0x1.dd487b7f9eb41p-1, 0x1.8c50491403e84p-3,
+                   0x1.8e04d3f27cdfcp-3, 0x1.0d69e2c746394p-3,
+                   0x1.2e955f58a617p-3, 0x1.ebce095ac4c95p-1,
+                   0x1.2acfcb00cfb13p-1, 0x1.d1018ea667b98p-3});
+}
+
+TEST(Rng, GoldenBelowAndChanceSequence) {
+  Rng rng(11);
+  const std::vector<std::uint32_t> below = {4, 3, 2, 6, 1, 1, 1, 2, 5, 6, 6, 3};
+  for (std::size_t i = 0; i < below.size(); ++i) {
+    EXPECT_EQ(rng.below(7), below[i]) << "draw " << i;
+  }
+  // The same generator continues into the Bernoulli draws.
+  const std::string chances = "0000000010101001";
+  for (std::size_t i = 0; i < chances.size(); ++i) {
+    EXPECT_EQ(rng.chance(Probability(0.3)), chances[i] == '1') << "draw " << i;
+  }
 }
 
 TEST(SampleWithoutReplacement, ProducesDistinctInRange) {

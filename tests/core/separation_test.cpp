@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace fcm::core {
 namespace {
 
@@ -85,6 +87,20 @@ TEST(Separation, MinSeparationFindsWeakestBoundary) {
   const SeparationAnalysis analysis(p);
   EXPECT_NEAR(analysis.min_separation().value(),
               analysis.separation(0, 1).value(), 1e-12);
+}
+
+TEST(Separation, NaNSeriesEntryGivesZeroMinSeparation) {
+  // The min fold follows Probability::clamped: a NaN series entry maps to
+  // 0 rather than vanishing from the min (every comparison with NaN is
+  // false), so the weakest boundary reads 0 wherever it sits in the row.
+  for (const std::size_t column : {std::size_t{1}, std::size_t{3}}) {
+    graph::Matrix p(4);
+    p.at(0, column) = std::numeric_limits<double>::quiet_NaN();
+    p.at(2, 1) = 0.25;
+    const SeparationAnalysis analysis(p, {.max_order = 1, .epsilon = 0.0});
+    EXPECT_EQ(analysis.min_separation().value(), 0.0) << "column " << column;
+    EXPECT_EQ(analysis.separation(0, column).value(), 0.0);
+  }
 }
 
 TEST(Separation, FromInfluenceModel) {

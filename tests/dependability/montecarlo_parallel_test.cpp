@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "common/ksum.h"
-#include "common/simd.h"
 #include "core/example98.h"
 #include "dependability/reliability.h"
 
@@ -84,34 +83,6 @@ TEST(MonteCarloParallel, IdenticalWhenTrialsDoNotFillTheLastBlock) {
   EXPECT_EQ(reference.blocks, 3u);
   mission.threads = 8;
   expect_identical(reference, fx.run(mission, 5));
-}
-
-TEST(MonteCarloParallel, BitwiseIdenticalAcrossSimdBackends) {
-  // The batched lottery kernels must not change a single estimate: every
-  // backend reproduces the scalar reference exactly, for a single ragged
-  // block (37 trials: not a multiple of the 8-lane width or the 256-draw
-  // refill) and for a multi-block run, at several thread counts.
-  Fixture fx;
-  MissionModel mission;
-  mission.hw_failure = Probability(0.12);
-  mission.sw_fault = Probability(0.03);
-  mission.propagate = true;
-  const simd::Backend saved = simd::active_backend();
-  for (const std::uint32_t trials : {37u, 20'000u}) {
-    mission.trials = trials;
-    mission.threads = 1;
-    simd::set_backend(simd::Backend::kScalarRef);
-    const DependabilityReport reference = fx.run(mission, 77);
-    if (trials == 37u) {
-      EXPECT_EQ(reference.blocks, 1u);
-    }
-    simd::set_backend(simd::Backend::kSimd);
-    for (const std::uint32_t threads : {1u, 4u}) {
-      mission.threads = threads;
-      expect_identical(reference, fx.run(mission, 77));
-    }
-  }
-  simd::set_backend(saved);
 }
 
 TEST(MonteCarloParallel, MaximalBlockSizeIsOneBlock) {

@@ -12,13 +12,11 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "graph/csr.h"
 #include "graph/matrix.h"
 #include "obs/obs.h"
@@ -112,7 +110,6 @@ TEST(CsrMatrix, DropsExactZerosOnly) {
 TEST(SeriesKernels, EmptyTrailingRowsMatchReference) {
   // All-zero final rows: the CSR row loop sees empty trailing spans and the
   // dense gather collects zero coefficients for those output rows. Sizes
-  // straddle the 4/8 lane widths so the batched remainder runs too, and
   // stay large enough that the zeroed rows cannot pull the 0.4 fill below
   // the sparse threshold.
   for (const std::size_t n : {13u, 21u}) {
@@ -127,24 +124,6 @@ TEST(SeriesKernels, EmptyTrailingRowsMatchReference) {
                            power_series_sum_reference(p, 6));
     }
   }
-}
-
-TEST(SeriesKernels, BitwiseIdenticalAcrossSimdBackends) {
-  // The SoA row kernels must give the same bits no matter which backend the
-  // dispatcher picked. The dense input's n = 135 leaves a ragged 7-wide
-  // column tile after the 128-wide one, so the vector remainder paths are
-  // on trial as well.
-  const simd::Backend saved = simd::active_backend();
-  for (const auto& [n, fill, kernel] :
-       {std::tuple{std::size_t{135}, 0.4, Kernel::kDense},
-        std::tuple{std::size_t{23}, 0.1, Kernel::kSparse}}) {
-    const Matrix p = random_influence(n, fill, 29);
-    simd::set_backend(simd::Backend::kScalarRef);
-    const Matrix reference = series_via(kernel, p, {.max_order = 8});
-    simd::set_backend(simd::Backend::kSimd);
-    expect_bitwise_equal(series_via(kernel, p, {.max_order = 8}), reference);
-  }
-  simd::set_backend(saved);
 }
 
 TEST(Matrix, UncheckedAccessMatchesChecked) {

@@ -1,7 +1,7 @@
-// fcm_tool's usage-error path, driven through the real binary: a removed
-// option and negative counts must print a one-line error plus usage and
-// exit 2. Negative counts used to be cast straight to uint32, so
-// `resilience --trials -1` ran zero blocks and exited 0, and
+// fcm_tool's usage-error path, driven through the real binary: removed
+// options, out-of-range values and negative counts must print a one-line
+// error plus usage and exit 2. Negative counts used to be cast straight to
+// uint32, so `resilience --trials -1` ran zero blocks and exited 0, and
 // `serve --workers -1` asked for 4294967295 workers.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -38,6 +39,39 @@ TEST(FcmToolCli, RemovedQuotientOptionIsAUsageError) {
   EXPECT_NE(run.output.find("unknown option '--quotient'"), std::string::npos)
       << run.output;
   EXPECT_NE(run.output.find("usage: fcm_tool"), std::string::npos);
+}
+
+TEST(FcmToolCli, RemovedOptionsAreUsageErrors) {
+  // --sweep-threads set nothing the plan could show; --simd chose between
+  // kernel backends that no longer exist.
+  for (const char* args : {"plan --sweep-threads 3", "plan --sweep-threads -5",
+                           "depend --simd scalar"}) {
+    const ToolRun run = run_tool(args);
+    ASSERT_EQ(run.exit_code, 2) << args << '\n' << run.output;
+    EXPECT_NE(run.output.find("unknown option '--"), std::string::npos)
+        << args << '\n' << run.output;
+    EXPECT_NE(run.output.find("usage: fcm_tool"), std::string::npos) << args;
+  }
+}
+
+TEST(FcmToolCli, OutOfRangeValuesAreUsageErrors) {
+  // These reached a library precondition and exited 1 with its file and
+  // line; they are malformed input, reported as such.
+  for (const auto& [args, message] :
+       {std::pair{"depend --q 1.5", "q must be in [0, 1]"},
+        std::pair{"depend --q nan", "q must be in [0, 1]"},
+        std::pair{"resilience --rare-event --q 2", "q must be in [0, 1]"},
+        std::pair{"resilience --rare-event --tilt nan",
+                  "tilt must be in [0, 1)"},
+        std::pair{"separation --order 0", "--order must be >= 1"}}) {
+    const ToolRun run = run_tool(args);
+    ASSERT_EQ(run.exit_code, 2) << args << '\n' << run.output;
+    EXPECT_NE(run.output.find(message), std::string::npos)
+        << args << '\n' << run.output;
+    EXPECT_EQ(run.output.find("precondition failed"), std::string::npos)
+        << args << '\n' << run.output;
+    EXPECT_NE(run.output.find("usage: fcm_tool"), std::string::npos) << args;
+  }
 }
 
 TEST(FcmToolCli, NegativeCountsAreUsageErrors) {

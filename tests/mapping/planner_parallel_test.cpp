@@ -64,9 +64,16 @@ TEST(PlannerParallel, InfeasiblePlatformThrowsForAnyThreadCount) {
 }
 
 #if FCM_OBS_ENABLED
-// What best_plan adds to every work counter. The executor's scheduling
-// telemetry (exec.sched.*) is exempt, as in CI's metric compares.
-std::map<std::string, std::uint64_t> sweep_counters(std::uint32_t threads) {
+// What best_plan records: every work counter it adds to, and every gauge it
+// leaves behind. The executor's scheduling telemetry (exec.sched.*) is
+// exempt, as in CI's metric compares, and so is planner.sweep_threads, which
+// records the resolved lane count by design.
+struct SweepMetrics {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> gauges;
+};
+
+SweepMetrics sweep_metrics(std::uint32_t threads) {
   core::example98::Instance instance = make_instance();
   const HwGraph hw = HwGraph::complete(6);
   PlanOptions options;
@@ -75,27 +82,35 @@ std::map<std::string, std::uint64_t> sweep_counters(std::uint32_t threads) {
                                    instance.processes, hw, options);
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
-  const auto before = obs::MetricsRegistry::global().snapshot().counters;
+  obs::MetricsRegistry::global().reset();
   (void)planner.best_plan();
-  const auto after = obs::MetricsRegistry::global().snapshot().counters;
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::global().snapshot();
+  obs::MetricsRegistry::global().reset();
   obs::set_enabled(was_enabled);
-  std::map<std::string, std::uint64_t> delta;
-  for (const auto& [name, value] : after) {
-    if (name.starts_with("exec.sched.")) continue;
-    const auto it = before.find(name);
-    const std::uint64_t base = it == before.end() ? 0 : it->second;
-    if (value != base) delta[name] = value - base;
+  SweepMetrics metrics;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (!name.starts_with("exec.sched.")) metrics.counters[name] = value;
   }
-  return delta;
+  for (const auto& [name, value] : snapshot.gauges) {
+    if (name.starts_with("exec.sched.") || name == "planner.sweep_threads") {
+      continue;
+    }
+    metrics.gauges[name] = value;
+  }
+  return metrics;
 }
 
-// Counter totals are part of the determinism contract: one lane and four
-// do the same work, on every run.
+// Counter totals and gauges are part of the determinism contract: one lane
+// and four do the same work and leave the same model-derived values, on
+// every run.
 TEST(PlannerParallel, SweepCountersDoNotDependOnThreads) {
-  const std::map<std::string, std::uint64_t> sequential = sweep_counters(1);
-  EXPECT_EQ(sequential.at("planner.candidates"), 7u);
+  const SweepMetrics sequential = sweep_metrics(1);
+  EXPECT_EQ(sequential.counters.at("planner.candidates"), 7u);
   for (int run = 0; run < 4; ++run) {
-    EXPECT_EQ(sweep_counters(4), sequential) << "run " << run;
+    const SweepMetrics parallel = sweep_metrics(4);
+    EXPECT_EQ(parallel.counters, sequential.counters) << "run " << run;
+    EXPECT_EQ(parallel.gauges, sequential.gauges) << "run " << run;
   }
 }
 #endif

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "common/simd.h"
 #include "core/example98.h"
 #include "dependability/montecarlo.h"
 #include "mapping/planner.h"
@@ -105,23 +104,6 @@ TEST(RareEvent, EstimateIsBitwiseIdenticalAcrossThreadCounts) {
   const std::string ragged1 = run_with(1);
   EXPECT_EQ(ragged1, run_with(4));
   EXPECT_EQ(ragged1, run_with(8));
-}
-
-TEST(RareEvent, EstimateIsBitwiseIdenticalAcrossSimdBackends) {
-  // The tilted lottery routes through the fused bernoulli kernel; every
-  // backend must reproduce the scalar JSON byte for byte, including the
-  // pilot ladder (no explicit tilt) and a ragged trial count.
-  RareEventOptions options;
-  options.hw_failure = Probability(0.02);
-  options.trials = 1'003;  // not a multiple of block, lane, or buffer sizes
-  options.trials_per_block = 64;
-  options.threads = 4;
-  const simd::Backend saved = simd::active_backend();
-  simd::set_backend(simd::Backend::kScalarRef);
-  const std::string reference = to_json(estimate(options));
-  simd::set_backend(simd::Backend::kSimd);
-  EXPECT_EQ(reference, to_json(estimate(options)));
-  simd::set_backend(saved);
 }
 
 TEST(RareEvent, PilotLadderFindsAProductiveTiltInTheRareRegime) {

@@ -3,8 +3,9 @@
 // answers kBadRequest and keeps the connection usable. Covers negative
 // counts, which a plain uint32 cast used to turn into 4294967295 (a
 // depend of "-1" trials ran none and printed every survival as 0), and the
-// mapping key `quotient=`, which went away with the full-rebuild quotient
-// mode.
+// mapping keys `quotient=` and `sweep_threads=`, which went away with the
+// full-rebuild quotient mode and as a value nothing read, and
+// probabilities outside their ranges.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -55,8 +56,26 @@ const std::vector<BadQuery>& bad_queries() {
   return kQueries;
 }
 
-TEST(QueryParams, OneShotRejectsNegativeCountsAndTheQuotientKey) {
-  for (const BadQuery& query : bad_queries()) {
+// Removed keys and out-of-range probabilities. `sweep_threads=` was parsed
+// and dropped (the resident planner sweeps on every core), and q or tilt
+// outside their ranges, NaN included, reached a library precondition and
+// came back as a server error instead of a request error.
+const std::vector<BadQuery>& bad_values() {
+  static const std::vector<BadQuery> kQueries = {
+      {protocol::Opcode::kMapping, "sweep_threads=3",
+       "unknown parameter 'sweep_threads'"},
+      {protocol::Opcode::kDepend, "q=1.5", "q must be in [0, 1]"},
+      {protocol::Opcode::kDepend, "q=-0.1", "q must be in [0, 1]"},
+      {protocol::Opcode::kDepend, "q=nan", "q must be in [0, 1]"},
+      {protocol::Opcode::kRareEvent, "q=1.5", "q must be in [0, 1]"},
+      {protocol::Opcode::kRareEvent, "q=nan", "q must be in [0, 1]"},
+      {protocol::Opcode::kRareEvent, "tilt=nan", "tilt must be in [0, 1)"},
+  };
+  return kQueries;
+}
+
+void expect_one_shot_rejects(const std::vector<BadQuery>& queries) {
+  for (const BadQuery& query : queries) {
     SCOPED_TRACE(protocol::opcode_name(query.opcode) + " '" + query.payload +
                  "'");
     try {
@@ -70,12 +89,12 @@ TEST(QueryParams, OneShotRejectsNegativeCountsAndTheQuotientKey) {
   }
 }
 
-TEST(QueryParams, ServerAnswersBadRequestAndStaysUsable) {
+void expect_server_rejects(const std::vector<BadQuery>& queries) {
   QueryEngine engine;
   Server server(engine);
   server.start();
   Client client("127.0.0.1", server.port(), Duration::millis(10'000));
-  for (const BadQuery& query : bad_queries()) {
+  for (const BadQuery& query : queries) {
     SCOPED_TRACE(protocol::opcode_name(query.opcode) + " '" + query.payload +
                  "'");
     const Client::Response response =
@@ -89,6 +108,22 @@ TEST(QueryParams, ServerAnswersBadRequestAndStaysUsable) {
   EXPECT_EQ(pong.status, protocol::Status::kOk);
   EXPECT_EQ(pong.payload, "ok");
   server.stop();
+}
+
+TEST(QueryParams, OneShotRejectsNegativeCountsAndTheQuotientKey) {
+  expect_one_shot_rejects(bad_queries());
+}
+
+TEST(QueryParams, ServerAnswersBadRequestAndStaysUsable) {
+  expect_server_rejects(bad_queries());
+}
+
+TEST(QueryParams, OneShotRejectsBadProbabilitiesAndTheSweepThreadsKey) {
+  expect_one_shot_rejects(bad_values());
+}
+
+TEST(QueryParams, ServerAnswersBadRequestForBadProbabilities) {
+  expect_server_rejects(bad_values());
 }
 
 }  // namespace
