@@ -8,13 +8,13 @@
 //     (reference loop vs the kernel fast path), H1 clustering (the
 //     lazy-deletion pair heap) and assignment + quality;
 //   * 512–4096 processes (cap via FCM_SCALE_MAX): the large-instance
-//     pipeline — SW-graph build, the Eq. 3 series (sparse kernel at these
-//     fills), hierarchical H1 (partition → cluster within parts → merge
+//     pipeline — SW-graph build, the Eq. 3 series, hierarchical H1
+//     (partition → cluster within parts → merge
 //     across), assignment + quality — with per-phase wall times,
 //     allocation counts, and peak RSS.
 //
-// The headline series speedup and the bitwise thread-identity checks are
-// recorded to BENCH_scale.json.
+// The headline series speedup, the bitwise series-vs-reference checks and
+// the clustering thread-identity checks are recorded to BENCH_scale.json.
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -90,9 +90,8 @@ PhaseRow measure(std::size_t processes) {
   const std::size_t hw_nodes = std::max<std::size_t>(4, processes / 3);
   const int reps = processes >= 128 ? 2 : 3;
 
-  // Phase 1: separation series. Reference loop vs the kernel fast path
-  // (dense/sparse picked from P's fill; influence graphs this sparse take
-  // the CSR kernel). Identity across thread counts is part of the contract.
+  // Phase 1: separation series. Reference loop vs the CSR kernel, which
+  // must match it bitwise.
   const graph::Matrix p = influence_matrix(sw);
   graph::Matrix ref(0);
   row.series_ref_seconds = phase_seconds(
@@ -103,11 +102,6 @@ PhaseRow measure(std::size_t processes) {
   row.series_fast_seconds =
       phase_seconds(reps, [&] { fast = graph::power_series_sum(p, sopts); });
   row.series_identical = bitwise_equal(ref, fast);
-  for (const std::uint32_t threads : {4u, 8u}) {
-    sopts.threads = threads;
-    row.series_identical =
-        row.series_identical && bitwise_equal(ref, graph::power_series_sum(p, sopts));
-  }
 
   // Phase 2: H1 clustering. Schedulability is skipped so the timing
   // isolates the merge-selection machinery.
@@ -148,7 +142,7 @@ struct ScaleRow {
   std::uint64_t cluster_allocs = 0;
   std::uint64_t row_alloc_mb = 0;   // bytes requested across the whole row
   std::uint64_t peak_rss_mb = 0;
-  bool series_identical = false;   // Eq. 3 series, 1 vs 4 threads
+  bool series_identical = false;   // Eq. 3 series, kernel vs reference
   bool cluster_identical = false;  // hierarchical H1, 1 vs 4 threads
 };
 
@@ -172,9 +166,8 @@ ScaleRow measure_scale(std::size_t processes) {
   row.build_allocs = allocs_since(mark);
   row.sw_nodes = sw->node_count();
 
-  // Series phase: Eq. 3 over the influence matrix (fills this low take
-  // the sparse kernel). Bitwise thread-identity is asserted by re-running
-  // with 4 workers.
+  // Series phase: Eq. 3 over the influence matrix (checked against the
+  // reference loop at the end of the row).
   graph::SeriesOptions sopts;
   sopts.epsilon = 1e-9;
   mark = alloc.allocations.load();
@@ -183,9 +176,6 @@ ScaleRow measure_scale(std::size_t processes) {
     separation = graph::power_series_sum(influence_matrix(*sw), sopts);
   });
   row.series_allocs = allocs_since(mark);
-  sopts.threads = 4;
-  row.series_identical = bitwise_equal(
-      separation, graph::power_series_sum(influence_matrix(*sw), sopts));
 
   // Clustering phase: hierarchical H1 (partition via min-cut/BFS, H1
   // within parts, merge across). Bitwise thread-identity is asserted by
@@ -233,6 +223,12 @@ ScaleRow measure_scale(std::size_t processes) {
   row.row_alloc_mb = (alloc.bytes.load() - bytes0) >> 20;
   row.peak_rss_mb = fcm::bench::peak_rss_bytes() >> 20;
   (void)allocs0;
+  // After the readings above, which describe the pipeline alone: the
+  // reference loop allocates a matrix per order.
+  row.series_identical = bitwise_equal(
+      separation, graph::power_series_sum_reference(influence_matrix(*sw),
+                                                    sopts.max_order,
+                                                    sopts.epsilon));
   return row;
 }
 
@@ -283,10 +279,9 @@ void print_reproduction() {
                    row.series_identical ? "yes" : "NO"});
   }
   std::cout << table.render();
-  std::cout << "(series fast path = CSR/blocked kernel of graph/series.h, "
-               "picked by fill; identity is bitwise,\n across kernels and "
-               "across 1/4/8 threads — speedups here are algorithmic, not "
-               "core-count)\n";
+  std::cout << "(series fast path = CSR kernel of graph/series.h; identity "
+               "is bitwise against the\n reference loop — speedups here are "
+               "algorithmic, not core-count)\n";
 
   const std::size_t cap = scale_cap();
   std::vector<ScaleRow> scale_rows;
@@ -309,9 +304,9 @@ void print_reproduction() {
          row.series_identical && row.cluster_identical ? "yes" : "NO"});
   }
   std::cout << scale_table.render();
-  std::cout << "(series and H1 hier = hierarchical H1 are each "
-               "bitwise-identical for 1 vs 4\n workers; H1 flat skipped "
-               "above 1024)\n";
+  std::cout << "(series bitwise-identical to the reference loop; H1 hier = "
+               "hierarchical H1,\n bitwise-identical for 1 vs 4 workers; H1 "
+               "flat skipped above 1024)\n";
 
   const bool plans_identical = plans_identical_across_threads();
   std::cout << "best_plan(64 processes): sweep_threads 1 vs 4 pick "
@@ -319,7 +314,7 @@ void print_reproduction() {
 
   // One instrumented pipeline pass: the obs registry snapshot rides along
   // in the JSON record so a perf regression can be traced to which phase
-  // changed behavior (kernel selections flips, heap churn, cache misses).
+  // changed behavior (series orders, heap churn, cache misses).
   obs::set_enabled(true);
   obs::MetricsRegistry::global().reset();
   (void)measure(64);

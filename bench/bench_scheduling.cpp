@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "sched/edf.h"
-#include "sched/feasibility.h"
 #include "sched/nonpreemptive.h"
 
 namespace {
@@ -81,16 +80,6 @@ void BM_NpEdfHeuristic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NpEdfHeuristic)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_OracleCacheHit(benchmark::State& state) {
-  FeasibilityOracle oracle;
-  const auto jobs = random_jobs(16, 5);
-  oracle.feasible(jobs);  // warm
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.feasible(jobs));
-  }
-}
-BENCHMARK(BM_OracleCacheHit);
 
 }  // namespace
 

@@ -7,10 +7,9 @@
 //   fcm_tool table                       # print Table 1
 //   fcm_tool influence                   # print the Fig. 3 graph + roles
 //   fcm_tool separation [--order K]      # Eq. 3 separation matrix
-//   fcm_tool depend [--hw N] [--q P] [--trials N] [--threads T]
+//   fcm_tool depend [--hw N] [--q P] [--trials N]
 //   fcm_tool replan [--hw N] [--fail LIST] [--heuristic H] [--approach a|b]
-//   fcm_tool resilience [--hw N] [--trials N] [--threads T]
-//                       [--horizon-ms M] [--seed S]
+//   fcm_tool resilience [--hw N] [--trials N] [--horizon-ms M] [--seed S]
 //   fcm_tool serve [--port P] [--workers N] [--port-file F] ...
 //   fcm_tool query --port P --op OP [--params "k=v ..."]
 //
@@ -24,7 +23,8 @@
 // the run) and --trace FILE (write a chrome://tracing span file). Options
 // are validated strictly: unknown options, missing values, malformed
 // numbers and out-of-range values print a one-line error plus usage and
-// exit 2.
+// exit 2. Parallel work runs on FCM_THREADS lanes, or on every hardware
+// core when it is unset; only depend's `workers / blocks` line shows it.
 #include <atomic>
 #include <csignal>
 #include <fstream>
@@ -56,13 +56,13 @@ const std::vector<CommandSpec> kCommands = {
     {"table", {}},
     {"report", {}},
     {"influence", {}},
-    {"separation", {{"order"}, {"threads"}}},
+    {"separation", {{"order"}}},
     {"plan",
      {{"hw"}, {"heuristic"}, {"approach"}, {"synthetic"}, {"seed"}}},
-    {"depend", {{"hw"}, {"q"}, {"trials"}, {"threads"}}},
+    {"depend", {{"hw"}, {"q"}, {"trials"}}},
     {"replan", {{"hw"}, {"fail"}, {"heuristic"}, {"approach"}}},
     {"resilience",
-     {{"hw"}, {"trials"}, {"threads"}, {"horizon-ms"}, {"seed"},
+     {{"hw"}, {"trials"}, {"horizon-ms"}, {"seed"},
       {"synthetic"}, {"adversary", /*takes_value=*/false},
       {"rare-event", /*takes_value=*/false}, {"restarts"}, {"iterations"},
       {"neighbors"}, {"max-events"}, {"max-crashes"},
@@ -82,32 +82,30 @@ int usage() {
       "  table                               print Table 1\n"
       "  report                              full system report\n"
       "  influence                           Fig. 3 graph + 4.2.4 roles\n"
-      "  separation [--order K] [--threads T]  Eq. 3 separation matrix\n"
+      "  separation [--order K]              Eq. 3 separation matrix\n"
       "  plan [--hw N] [--heuristic H] [--approach a|b] [--synthetic P]\n"
       "       [--seed S]\n"
       "       H in {h1, h1r, h1h, h2, h3, crit, timing, best}; --synthetic\n"
       "       plans a deterministic seeded random system of P processes\n"
       "       instead of example98 (h1h scales to thousands)\n"
-      "  depend [--hw N] [--q P] [--trials N] [--threads T]\n"
-      "       Monte Carlo evaluation; T=0 uses all cores, the estimates\n"
-      "       are identical for every T\n"
+      "  depend [--hw N] [--q P] [--trials N]\n"
+      "       Monte Carlo evaluation\n"
       "  replan [--hw N] [--fail LIST] [--heuristic H] [--approach a|b]\n"
       "       graceful degradation after losing the HW nodes in LIST\n"
       "       (comma-separated indices, default 0); exit 1 if infeasible\n"
-      "  resilience [--hw N] [--trials N] [--threads T] [--horizon-ms M]\n"
-      "             [--seed S]\n"
+      "  resilience [--hw N] [--trials N] [--horizon-ms M] [--seed S]\n"
       "       fault-scenario campaign + graceful-degradation replanning;\n"
-      "       JSON on stdout, byte-identical for every T\n"
+      "       JSON on stdout\n"
       "  resilience --adversary [--restarts R] [--iterations I]\n"
       "             [--neighbors K] [--max-events E] [--max-crashes C]\n"
       "             [--anneal] [--synthetic P] [--hw N] [--trials N]\n"
-      "             [--threads T] [--seed S]\n"
+      "             [--seed S]\n"
       "       adversarial search for the worst-case fault schedule of the\n"
       "       best plan; certifies the minimizing scenario against the\n"
       "       compositional bounds; exit 1 if the bound check fails\n"
       "  resilience --rare-event [--q P] [--tilt Q] [--pilot N]\n"
       "             [--levels L] [--synthetic P] [--hw N] [--trials N]\n"
-      "             [--threads T] [--seed S]\n"
+      "             [--seed S]\n"
       "       importance-sampled survival estimate with a 99% CI, tilt\n"
       "       chosen by a pilot ladder when --tilt is omitted; exit 1 if\n"
       "       the estimate is inconsistent with the compositional bounds\n"
@@ -133,8 +131,8 @@ int usage() {
       "global options (any command):\n"
       "  --metrics                           dump the fcm::obs registry\n"
       "  --trace FILE                        write chrome://tracing spans\n"
-      "every --threads default is 0 = auto: the FCM_THREADS environment\n"
-      "variable if set, otherwise all hardware cores\n";
+      "parallel work runs on FCM_THREADS lanes (all hardware cores when\n"
+      "unset); only depend's workers / blocks line depends on it\n";
   return 2;
 }
 
@@ -161,7 +159,6 @@ int cmd_separation(const cli::Options& args) {
   core::SeparationOptions options;
   options.max_order = args.get_int("order", 6);
   if (options.max_order < 1) throw cli::CliError("--order must be >= 1");
-  options.threads = args.get_count("threads", 0);
   const core::SeparationAnalysis analysis(instance.influence, options);
   std::vector<std::string> headers{"sep"};
   for (int k = 1; k <= 8; ++k) headers.push_back("p" + std::to_string(k));
@@ -236,8 +233,7 @@ int cmd_depend(const cli::Options& args) {
   return run_one_shot(serve::protocol::Opcode::kDepend, args,
                       {{"hw", "hw"},
                        {"q", "q"},
-                       {"trials", "trials"},
-                       {"threads", "threads"}});
+                       {"trials", "trials"}});
 }
 
 int cmd_replan(const cli::Options& args) {
@@ -265,7 +261,6 @@ int cmd_resilience(const cli::Options& args) {
     }
     forward(args, "hw", "hw", payload);
     forward(args, "trials", "trials", payload);
-    forward(args, "threads", "threads", payload);
     forward(args, "seed", "seed", payload);
     serve::protocol::Opcode opcode;
     if (adversary) {
@@ -291,18 +286,27 @@ int cmd_resilience(const cli::Options& args) {
     std::cout << result.text;
     return result.feasible ? 0 : 1;
   }
+  // The same bounds the one-shot modes apply through the query engine.
+  const int hw_nodes = args.get_int("hw", core::example98::kHwNodes);
+  if (hw_nodes < 1 || hw_nodes > 4096) {
+    throw cli::CliError("hw must be in [1, 4096], got " +
+                        std::to_string(hw_nodes));
+  }
+  resilience::CampaignOptions options;
+  options.trials = args.get_count("trials", 96);
+  if (options.trials == 0) throw cli::CliError("trials must be positive");
+  const int horizon_ms = args.get_int("horizon-ms", 200);
+  if (horizon_ms < 1) throw cli::CliError("horizon-ms must be positive");
+  options.horizon = Duration::millis(horizon_ms);
+  options.threads = 0;
+
   auto instance = core::example98::make_instance();
-  const mapping::HwGraph hw = mapping::HwGraph::complete(
-      args.get_int("hw", core::example98::kHwNodes));
+  const mapping::HwGraph hw = mapping::HwGraph::complete(hw_nodes);
   mapping::IntegrationPlanner planner(instance.hierarchy, instance.influence,
                                       instance.processes, hw);
   const mapping::Plan plan = planner.best_plan();
   const std::vector<resilience::Scenario> grid = resilience::standard_grid(
       planner.sw_graph(), plan.clustering.partition, plan.assignment, hw);
-  resilience::CampaignOptions options;
-  options.trials = args.get_count("trials", 96);
-  options.threads = args.get_count("threads", 0);
-  options.horizon = Duration::millis(args.get_int("horizon-ms", 200));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 2026));
   const resilience::ResilienceReport report = resilience::run_campaign(

@@ -18,8 +18,7 @@ SeparationAnalysis::SeparationAnalysis(const graph::Matrix& influence_matrix,
                                        SeparationOptions options)
     : series_(graph::power_series_sum(
           influence_matrix, {.max_order = options.max_order,
-                             .epsilon = options.epsilon,
-                             .threads = options.threads})) {}
+                             .epsilon = options.epsilon})) {}
 
 double SeparationAnalysis::interaction(std::size_t i, std::size_t j) const {
   return series_.at(i, j);
@@ -75,14 +74,11 @@ std::uint64_t model_key(const InfluenceModel& model) {
   // computed from. The previous address-x-revision key had an ABA hazard —
   // a destroyed model whose heap address was reused by a fresh model at the
   // same revision count resurrected the dead model's entry. Content keying
-  // cannot dangle (and lets two equal models share one entry). to_matrix()
-  // walks the model's recorded pairs once per query; the raw-matrix
-  // overload below stays O(1) via the hash cached inside Matrix.
+  // cannot dangle (and lets two equal models share one entry).
   return fnv_mix(kFnvOffset, model.to_matrix().content_hash());
 }
 
-// Folds the result-selecting options fields (and only those — threads
-// never change the analysis) into the entry key.
+// Folds the options into the entry key.
 std::uint64_t with_options(std::uint64_t key,
                            const SeparationOptions& options) noexcept {
   key = fnv_mix(key, static_cast<std::uint64_t>(options.max_order));
@@ -139,8 +135,6 @@ const SeparationAnalysis& SeparationCache::get(const InfluenceModel& model,
 
 const SeparationAnalysis& SeparationCache::get(
     const graph::Matrix& influence_matrix, SeparationOptions options) {
-  // content_hash() is cached inside Matrix, so a repeated query on an
-  // unchanged matrix object skips the O(n²) re-hash entirely.
   return lookup(
       with_options(influence_matrix.content_hash(), options), [&] {
         return SeparationAnalysis(influence_matrix, options);

@@ -18,23 +18,12 @@
 
 namespace fcm::core {
 
-/// Truncation and thread controls for the Eq. 3 series.
+/// Truncation controls for the Eq. 3 series.
 struct SeparationOptions {
   /// Highest matrix power included (1 = direct influence only).
   int max_order = 6;
   /// Stop early once a term's largest entry falls below this.
   double epsilon = 1e-9;
-  /// Worker threads for the series kernels (0 = hardware concurrency). The
-  /// analysis is bitwise identical for every value.
-  std::uint32_t threads = 1;
-
-  /// Equality compares only the fields that select the mathematical result;
-  /// threads never change the bitwise output, so cache entries computed
-  /// under different thread counts are interchangeable.
-  [[nodiscard]] bool operator==(const SeparationOptions& other)
-      const noexcept {
-    return max_order == other.max_order && epsilon == other.epsilon;
-  }
 };
 
 /// Precomputed separation over one influence model.
@@ -70,9 +59,8 @@ class SeparationAnalysis {
 /// Memoizes SeparationAnalysis instances so repeated Eq. 3 queries — the
 /// planner scoring several heuristics, iterative what-if loops over one
 /// model — do not recompute the transitive power series. Entries are keyed
-/// on a *content* hash of the influence matrix (for raw matrices the hash is
-/// cached inside Matrix, so an unchanged matrix is never re-hashed) plus
-/// the truncation options; keying on content rather than object identity
+/// on a *content* hash of the influence matrix plus the truncation options;
+/// keying on content rather than object identity
 /// means a destroyed model whose address is reused can never resurrect a
 /// dead entry. Lookups go through a hash-map index — O(1) per query instead
 /// of a scan over the capacity. Small LRU; evictions are counted in the

@@ -37,8 +37,8 @@
 // lane (any depth) runs inner blocks inline on its own lane instead of
 // re-entering the pool. Nested parallelism therefore never oversubscribes
 // the machine — `resilience::Campaign` can call the replanner, which calls
-// the planner sweep, which calls the series kernels, and exactly one level
-// fans out. Inline nested blocks inherit the outer call's submission id, so
+// the planner sweep, which calls hierarchical H1's per-part clustering, and
+// exactly one level fans out. Inline nested blocks inherit the outer call's submission id, so
 // trace spans stay attributed to the top-level call that caused them.
 //
 // Observability (`fcm::obs`): deterministic work metrics are recorded under

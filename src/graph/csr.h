@@ -5,8 +5,7 @@
 // directly influences a handful of neighbors, not all n), so storing P once
 // in CSR form turns each multiply from O(n³) into O(n · nnz(P)) — the term
 // matrix densifies across orders, but P never does. Row entries are kept in
-// ascending column order so the sparse kernel adds contributions in exactly
-// the column order the dense kernel uses.
+// ascending column order.
 #pragma once
 
 #include <cstdint>

@@ -18,7 +18,6 @@ Matrix Matrix::identity(std::size_t n) {
 
 double& Matrix::at(std::size_t row, std::size_t col) {
   FCM_REQUIRE(row < n_ && col < n_, "matrix index out of range");
-  hash_valid_ = false;
   return data_[row * n_ + col];
 }
 
@@ -50,7 +49,6 @@ Matrix Matrix::operator+(const Matrix& other) const {
 
 Matrix& Matrix::operator+=(const Matrix& other) {
   FCM_REQUIRE(n_ == other.n_, "matrix size mismatch");
-  hash_valid_ = false;
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   return *this;
 }
@@ -59,13 +57,6 @@ double Matrix::max_abs() const noexcept {
   double m = 0.0;
   for (const double v : data_) m = std::max(m, std::fabs(v));
   return m;
-}
-
-double Matrix::fill_ratio() const noexcept {
-  if (data_.empty()) return 1.0;
-  std::size_t nonzero = 0;
-  for (const double v : data_) nonzero += v != 0.0 ? 1 : 0;
-  return static_cast<double>(nonzero) / static_cast<double>(data_.size());
 }
 
 namespace {
@@ -84,7 +75,6 @@ std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) noexcept {
 }  // namespace
 
 std::uint64_t Matrix::content_hash() const noexcept {
-  if (hash_valid_) return hash_;
   std::uint64_t hash = fnv_mix(kFnvOffset ^ 0x9E3779B97F4A7C15ULL,
                                static_cast<std::uint64_t>(n_));
   for (const double v : data_) {
@@ -92,9 +82,7 @@ std::uint64_t Matrix::content_hash() const noexcept {
     std::memcpy(&bits, &v, sizeof(bits));
     hash = fnv_mix(hash, bits);
   }
-  hash_ = hash;
-  hash_valid_ = true;
-  return hash_;
+  return hash;
 }
 
 }  // namespace fcm::graph

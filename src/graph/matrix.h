@@ -9,7 +9,7 @@
 //
 // Access comes in two flavors: `at()` is bounds-checked and is the right
 // call for client code assembling a matrix; `operator()` / `data()` are
-// unchecked and exist for the series kernels (graph/series.h), whose inner
+// unchecked and exist for the series kernel (graph/series.h), whose inner
 // loops cannot afford a branch per element.
 #pragma once
 
@@ -37,7 +37,6 @@ class Matrix {
   /// Unchecked access for kernel inner loops. The caller guarantees
   /// row < size() and col < size().
   [[nodiscard]] double& operator()(std::size_t row, std::size_t col) noexcept {
-    hash_valid_ = false;
     return data_[row * n_ + col];
   }
   [[nodiscard]] double operator()(std::size_t row,
@@ -45,12 +44,8 @@ class Matrix {
     return data_[row * n_ + col];
   }
 
-  /// Raw row-major storage (n*n doubles). The mutable overload conservatively
-  /// invalidates the cached content hash.
-  [[nodiscard]] double* data() noexcept {
-    hash_valid_ = false;
-    return data_.data();
-  }
+  /// Raw row-major storage (n*n doubles).
+  [[nodiscard]] double* data() noexcept { return data_.data(); }
   [[nodiscard]] const double* data() const noexcept { return data_.data(); }
 
   Matrix operator*(const Matrix& other) const;
@@ -61,20 +56,13 @@ class Matrix {
   /// the separation series once terms become negligible.
   [[nodiscard]] double max_abs() const noexcept;
 
-  /// Fraction of entries that are nonzero, in [0, 1] (1.0 for n == 0).
-  [[nodiscard]] double fill_ratio() const noexcept;
-
-  /// FNV-1a hash over the dimension and every entry's bit pattern. Computed
-  /// lazily and cached; any mutable access (`at`, `operator()`, `data`,
-  /// `operator+=`) invalidates the cache, so repeated hashing of an
-  /// unchanged matrix is O(1) after the first call.
+  /// FNV-1a hash over the dimension and every entry's bit pattern, O(n²)
+  /// per call.
   [[nodiscard]] std::uint64_t content_hash() const noexcept;
 
  private:
   std::size_t n_;
   std::vector<double> data_;
-  mutable std::uint64_t hash_ = 0;
-  mutable bool hash_valid_ = false;
 };
 
 }  // namespace fcm::graph

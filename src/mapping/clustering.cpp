@@ -314,7 +314,7 @@ double ClusteringResult::cross_cluster_influence() const {
 }
 
 ClusterEngine::ClusterEngine(const SwGraph& sw, ClusteringOptions options)
-    : sw_(&sw), options_(options), oracle_(options.policy) {
+    : sw_(&sw), options_(options) {
   FCM_REQUIRE(options_.target_clusters >= 1,
               "target cluster count must be positive");
   FCM_REQUIRE(options_.incremental_quotient,
@@ -373,7 +373,9 @@ bool ClusterEngine::members_schedulable(
   };
   for (const graph::NodeIndex v : a) collect(v);
   for (const graph::NodeIndex v : b) collect(v);
-  if (periodic_scratch_.empty()) return oracle_.feasible(jobs_scratch_);
+  if (periodic_scratch_.empty()) {
+    return sched::feasible(options_.policy, jobs_scratch_);
+  }
   return sched::mixed_feasible(jobs_scratch_, periodic_scratch_);
 }
 

@@ -163,11 +163,6 @@ class ClusterEngine {
   ClusteringResult timing_ordered(OrderKey key = OrderKey::kCriticality,
                                   std::size_t max_per_cluster = 0);
 
-  /// Number of schedulability-oracle analyses performed so far.
-  [[nodiscard]] std::size_t oracle_analyses() const noexcept {
-    return oracle_.analyses();
-  }
-
   /// Cluster-pair influence bundles under a shrinking partition.
   ///
   /// Per ordered cluster pair, the ascending list of SW influence edges
@@ -238,8 +233,9 @@ class ClusterEngine {
       std::span<const graph::NodeIndex> a,
       std::span<const graph::NodeIndex> b = {}) const;
   /// Whether the members of `a` and `b` can share one processor: one-shot
-  /// jobs (in member order, `a` first) go through the memoizing EDF
-  /// oracle; mixtures with periodic tasks use sched::mixed_feasible.
+  /// jobs (in member order, `a` first) go through sched::feasible under the
+  /// configured policy; mixtures with periodic tasks use
+  /// sched::mixed_feasible.
   [[nodiscard]] bool members_schedulable(
       std::span<const graph::NodeIndex> a,
       std::span<const graph::NodeIndex> b = {});
@@ -283,7 +279,6 @@ class ClusterEngine {
 
   const SwGraph* sw_;
   ClusteringOptions options_;
-  sched::FeasibilityOracle oracle_;
   QuotientCache quotient_cache_;
   /// Dense slot of each node's origin process, and a per-slot stamp: a
   /// replica test marks one side's origins and probes the other's.

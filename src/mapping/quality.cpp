@@ -71,10 +71,9 @@ MappingQuality evaluate(const SwGraph& sw, const ClusteringResult& clustering,
     }
   }
 
-  // Schedulability per cluster (one-shot jobs through the policy oracle,
-  // mixed workloads with periodic members through mixed_feasible).
+  // Schedulability per cluster (one-shot jobs under the policy, mixed
+  // workloads with periodic members through mixed_feasible).
   q.schedulable_ok = true;
-  sched::FeasibilityOracle oracle(options.policy);
   for (std::uint32_t c = 0; c < groups.size(); ++c) {
     std::vector<sched::Job> jobs;
     std::vector<sched::PeriodicTask> periodic;
@@ -88,7 +87,7 @@ MappingQuality evaluate(const SwGraph& sw, const ClusteringResult& clustering,
       }
     }
     const bool ok = periodic.empty()
-                        ? oracle.feasible(jobs)
+                        ? sched::feasible(options.policy, jobs)
                         : sched::mixed_feasible(jobs, periodic);
     if (!ok) {
       q.schedulable_ok = false;

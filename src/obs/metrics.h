@@ -2,11 +2,11 @@
 //
 // A dependability framework has to expose its own internal behavior to be
 // trustworthy (cf. the AADL dependability-modeling line of work): the Monte
-// Carlo engine, the separation series kernels, and the clustering/planner
+// Carlo engine, the separation series kernel, and the clustering/planner
 // machinery all count and time themselves through this registry instead of
 // bespoke ad-hoc structs. Three instrument kinds:
 //
-//   counters    monotone uint64 sums (trials run, kernel selections, cache
+//   counters    monotone uint64 sums (trials run, series orders, cache
 //               hits). Increments commute, so — exactly like the Monte Carlo
 //               block reduction — totals are identical for every thread
 //               count and execution order as long as the *work partition* is

@@ -331,7 +331,7 @@ ResilienceReport run_campaign(const mapping::SwGraph& sw,
   // Registry totals fold from the per-block tallies and the sequential
   // replan loop, so — like the report itself — they are identical for
   // every thread count. No thread-count gauge on purpose: the CI smoke
-  // byte-compares the metrics dump across --threads values.
+  // byte-compares the metrics dump across FCM_THREADS values.
   FCM_OBS_COUNT("resilience.campaigns", 1);
   FCM_OBS_COUNT("resilience.scenarios", scenarios.size());
   FCM_OBS_COUNT("resilience.trials",

@@ -79,51 +79,16 @@ const char* to_string(Policy policy) noexcept {
   return "?";
 }
 
-FeasibilityOracle::FeasibilityOracle(Policy policy) : policy_(policy) {}
-
-std::uint64_t FeasibilityOracle::fingerprint(
-    const std::vector<Job>& jobs) const {
-  // Order-independent fingerprint: hash each timing triple, combine with a
-  // commutative mix. Collisions only risk a wrong cached verdict in tests
-  // with adversarial inputs; 64-bit FNV-style hashing keeps that negligible.
-  std::uint64_t sum = 0x9E3779B97F4A7C15ULL * (jobs.size() + 1);
-  std::uint64_t xored = 0;
-  for (const Job& job : jobs) {
-    std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::int64_t v) {
-      h ^= static_cast<std::uint64_t>(v);
-      h *= 1099511628211ULL;
-    };
-    mix(job.release.since_epoch().count());
-    mix(job.deadline.since_epoch().count());
-    mix(job.cost.count());
-    sum += h;    // commutative accumulators keep the
-    xored ^= h;  // fingerprint order-independent
-  }
-  return sum ^ (xored * 0xC2B2AE3D27D4EB4FULL);
-}
-
-bool FeasibilityOracle::feasible(const std::vector<Job>& jobs) {
-  const std::uint64_t key = fingerprint(jobs);
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++analyses_;
-  bool verdict = false;
-  switch (policy_) {
+bool feasible(Policy policy, const std::vector<Job>& jobs) {
+  switch (policy) {
     case Policy::kPreemptiveEdf:
-      verdict = edf_feasible(jobs);
-      break;
+      return edf_feasible(jobs);
     case Policy::kNonPreemptive:
-      verdict = np_feasible(jobs);
-      break;
+      return np_feasible(jobs);
     case Policy::kNonPreemptiveEdf:
-      verdict = np_edf_schedule(jobs).feasible;
-      break;
+      return np_edf_schedule(jobs).feasible;
   }
-  cache_.emplace(key, verdict);
-  return verdict;
+  return false;
 }
 
 }  // namespace fcm::sched

@@ -4,13 +4,10 @@
 // of SW modules share a processor and still meet all timing constraints?
 // ("Several well-known scheduling algorithms can be used to check the
 // feasibility of scheduling sets of these processes on the same processor.")
-// `FeasibilityOracle` centralizes that check, caches verdicts (clustering
-// revisits the same candidate sets), and lets callers choose the policy whose
+// `feasible` centralizes that check and lets callers choose the policy whose
 // influence implications they are modelling.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sched/job.h"
@@ -39,30 +36,7 @@ const char* to_string(Policy policy) noexcept;
 bool mixed_feasible(const std::vector<Job>& oneshot,
                     const std::vector<PeriodicTask>& periodic);
 
-/// Answers (and caches the verdict of) "is this job set single-processor schedulable
-/// under the policy?". Job sets are identified by the multiset of member
-/// timing triples, so permuted queries hit the cache.
-class FeasibilityOracle {
- public:
-  explicit FeasibilityOracle(Policy policy = Policy::kPreemptiveEdf);
-
-  [[nodiscard]] Policy policy() const noexcept { return policy_; }
-
-  /// Whether the given jobs can share one processor.
-  bool feasible(const std::vector<Job>& jobs);
-
-  /// Number of distinct job sets actually analyzed (cache misses).
-  [[nodiscard]] std::size_t analyses() const noexcept { return analyses_; }
-  /// Number of queries answered from the cache.
-  [[nodiscard]] std::size_t cache_hits() const noexcept { return hits_; }
-
- private:
-  std::uint64_t fingerprint(const std::vector<Job>& jobs) const;
-
-  Policy policy_;
-  std::unordered_map<std::uint64_t, bool> cache_;
-  std::size_t analyses_ = 0;
-  std::size_t hits_ = 0;
-};
+/// Whether the given jobs can share one processor under the policy.
+bool feasible(Policy policy, const std::vector<Job>& jobs);
 
 }  // namespace fcm::sched

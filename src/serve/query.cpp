@@ -144,7 +144,7 @@ Probability probability_param(const cli::Options& params,
   return Probability(value);
 }
 
-/// A non-negative count parameter (trials, threads, restarts, ...);
+/// A non-negative count parameter (trials, restarts, ...);
 /// negative values are request errors rather than 32-bit wraparounds.
 std::uint32_t count_param(const cli::Options& params, const std::string& key,
                           int fallback) {
@@ -362,7 +362,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
 
     case protocol::Opcode::kDepend: {
       const cli::Options params = parse_params(
-          payload, {"model", "hw", "q", "trials", "threads"});
+          payload, {"model", "hw", "q", "trials"});
       check_model(params);
       const int hw = hw_nodes(params);
       PlatformState& state = platform("example98", hw);
@@ -371,7 +371,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
       dependability::MissionModel mission;
       mission.hw_failure = probability_param(params, "q", kDefaultHwFailure);
       mission.trials = count_param(params, "trials", kDefaultTrials);
-      mission.threads = count_param(params, "threads", 0);
+      mission.threads = 0;  // FCM_THREADS, else every core
       if (mission.trials == 0) throw QueryError("trials must be positive");
       const auto report = dependability::evaluate_mapping(
           state.planner.sw_graph(), plan.clustering, plan.assignment,
@@ -412,9 +412,9 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
 
     case protocol::Opcode::kAdversary: {
       const cli::Options params = parse_params(
-          payload, {"model", "hw", "trials", "threads", "restarts",
-                    "iterations", "neighbors", "max_events", "max_crashes",
-                    "anneal", "seed"});
+          payload, {"model", "hw", "trials", "restarts", "iterations",
+                    "neighbors", "max_events", "max_crashes", "anneal",
+                    "seed"});
       const std::string model = model_name(params);
       const int hw = hw_nodes(params);
       PlatformState& state = platform(model, hw);
@@ -423,7 +423,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
       resilience::AdversaryOptions options;
       std::uint64_t seed = kDependSeed;
       options.campaign.trials = count_param(params, "trials", 96);
-      options.campaign.threads = count_param(params, "threads", 0);
+      options.campaign.threads = 0;
       options.restarts = count_param(params, "restarts", 3);
       options.iterations = count_param(params, "iterations", 16);
       options.neighbors = count_param(params, "neighbors", 6);
@@ -447,8 +447,8 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
 
     case protocol::Opcode::kRareEvent: {
       const cli::Options params = parse_params(
-          payload, {"model", "hw", "q", "trials", "threads", "tilt", "pilot",
-                    "levels", "seed"});
+          payload, {"model", "hw", "q", "trials", "tilt", "pilot", "levels",
+                    "seed"});
       const std::string model = model_name(params);
       const int hw = hw_nodes(params);
       PlatformState& state = platform(model, hw);
@@ -457,7 +457,7 @@ QueryResult QueryEngine::evaluate(protocol::Opcode opcode,
       resilience::RareEventOptions options;
       std::uint64_t seed = kDependSeed;
       options.trials = count_param(params, "trials", 10'000);
-      options.threads = count_param(params, "threads", 0);
+      options.threads = 0;
       options.pilot_trials = count_param(params, "pilot", 512);
       options.max_levels = count_param(params, "levels", 6);
       options.hw_failure = probability_param(params, "q", kDefaultHwFailure);

@@ -145,11 +145,6 @@ TEST(SeparationCache, DifferentOptionsAreDistinctEntries) {
   cache.get(*model, order_one());
   cache.get(*model, deep);
   EXPECT_EQ(cache.stats().misses, 2u);
-  // Thread count is execution detail, not result-selecting: same entry.
-  SeparationOptions threaded = order_one();
-  threaded.threads = 4;
-  cache.get(*model, threaded);
-  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 }  // namespace

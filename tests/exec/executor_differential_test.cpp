@@ -1,21 +1,18 @@
 // Differential gate for the executor: every subsystem that runs on it —
-// Monte Carlo dependability, the series kernels, the planner sweep, the
-// influence estimator, and the resilience campaign — must produce
-// bit-identical output on the persistent work-stealing pool for threads in
-// {1, 3, 8}. The reference is a threads = 1 run, which takes the serial
-// in-line path: the same single-lane evaluation the retired per-call
-// engine used, with no pool involved.
+// Monte Carlo dependability, the planner sweep, the influence estimator,
+// and the resilience campaign — must produce bit-identical output on the
+// persistent work-stealing pool for threads in {1, 3, 8}. The reference is
+// a threads = 1 run, which takes the serial in-line path: the same
+// single-lane evaluation the retired per-call engine used, with no pool
+// involved.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/example98.h"
 #include "dependability/montecarlo.h"
-#include "graph/matrix.h"
-#include "graph/series.h"
 #include "mapping/planner.h"
 #include "resilience/campaign.h"
 #include "resilience/report.h"
@@ -73,34 +70,6 @@ TEST(ExecutorDifferential, MonteCarloReportsMatchTheRetiredEngine) {
       expect_bitwise(report.process_survival[p],
                      reference.process_survival[p], "process_survival");
     }
-  }
-}
-
-// --- Series kernels -------------------------------------------------------
-
-TEST(ExecutorDifferential, SeriesKernelsMatchTheRetiredEngine) {
-  // Dense enough for the dense kernel; n = 48 splits into three 16-row
-  // parallel tasks.
-  constexpr std::size_t kN = 48;
-  Rng rng(11);
-  graph::Matrix p(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    for (std::size_t j = 0; j < kN; ++j) {
-      if (i != j && rng.uniform() < 0.3) p.at(i, j) = rng.uniform(0.05, 0.6);
-    }
-  }
-  graph::SeriesOptions options;
-  options.max_order = 6;
-  options.threads = 1;
-  const graph::Matrix reference = graph::power_series_sum(p, options);
-  for (const std::uint32_t threads : kThreadCounts) {
-    options.threads = threads;
-    const graph::Matrix result = graph::power_series_sum(p, options);
-    ASSERT_EQ(result.size(), reference.size());
-    EXPECT_EQ(std::memcmp(result.data(), reference.data(),
-                          kN * kN * sizeof(double)),
-              0)
-        << "threads " << threads;
   }
 }
 

@@ -43,9 +43,13 @@ TEST(FcmToolCli, RemovedQuotientOptionIsAUsageError) {
 
 TEST(FcmToolCli, RemovedOptionsAreUsageErrors) {
   // --sweep-threads set nothing the plan could show; --simd chose between
-  // kernel backends that no longer exist.
-  for (const char* args : {"plan --sweep-threads 3", "plan --sweep-threads -5",
-                           "depend --simd scalar"}) {
+  // kernel backends that no longer exist; --threads sized a pool that no
+  // report depends on, which FCM_THREADS already sizes.
+  for (const char* args :
+       {"plan --sweep-threads 3", "plan --sweep-threads -5",
+        "depend --simd scalar", "depend --threads 2",
+        "resilience --threads 2", "resilience --rare-event --threads 2",
+        "separation --threads 2"}) {
     const ToolRun run = run_tool(args);
     ASSERT_EQ(run.exit_code, 2) << args << '\n' << run.output;
     EXPECT_NE(run.output.find("unknown option '--"), std::string::npos)
@@ -63,7 +67,12 @@ TEST(FcmToolCli, OutOfRangeValuesAreUsageErrors) {
         std::pair{"resilience --rare-event --q 2", "q must be in [0, 1]"},
         std::pair{"resilience --rare-event --tilt nan",
                   "tilt must be in [0, 1)"},
-        std::pair{"separation --order 0", "--order must be >= 1"}}) {
+        std::pair{"separation --order 0", "--order must be >= 1"},
+        std::pair{"resilience --trials 0", "trials must be positive"},
+        std::pair{"resilience --hw 0", "hw must be in [1, 4096]"},
+        std::pair{"resilience --horizon-ms 0", "horizon-ms must be positive"},
+        std::pair{"resilience --horizon-ms -5",
+                  "horizon-ms must be positive"}}) {
     const ToolRun run = run_tool(args);
     ASSERT_EQ(run.exit_code, 2) << args << '\n' << run.output;
     EXPECT_NE(run.output.find(message), std::string::npos)
@@ -78,9 +87,8 @@ TEST(FcmToolCli, NegativeCountsAreUsageErrors) {
   // The first cases fail fast where negative counts are accepted; `serve`
   // comes last because accepting its count would start a daemon.
   for (const char* args :
-       {"resilience --trials -1", "resilience --threads -1",
-        "separation --threads -1", "depend --trials -1",
-        "depend --threads -2", "resilience --adversary --trials -1",
+       {"resilience --trials -1", "depend --trials -1",
+        "resilience --adversary --trials -1",
         "resilience --adversary --restarts -1",
         "resilience --rare-event --pilot -1", "serve --workers -1"}) {
     const ToolRun run = run_tool(args);

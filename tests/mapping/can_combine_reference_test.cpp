@@ -4,9 +4,8 @@
 // below is the check as first written — a scan of cluster_of for both
 // member lists, replicas() tested pair by pair, the resource union, and
 // every member's job rebuilt on each call. On random partitions of random
-// SW graphs both must agree on every verdict, pass the resource check the
-// same sets in the same order, and run the same number of distinct oracle
-// analyses.
+// SW graphs both must agree on every verdict and pass the resource check
+// the same sets in the same order.
 #include "mapping/clustering.h"
 
 #include <gtest/gtest.h>
@@ -25,7 +24,7 @@ namespace {
 class ReferenceCombiner {
  public:
   ReferenceCombiner(const SwGraph& sw, const ClusteringOptions& options)
-      : sw_(&sw), options_(options), oracle_(options.policy) {}
+      : sw_(&sw), options_(options) {}
 
   bool can_combine(const graph::Partition& partition, std::uint32_t cluster_a,
                    std::uint32_t cluster_b) {
@@ -68,18 +67,13 @@ class ReferenceCombiner {
         jobs.push_back(timing.to_job(JobId(v), node.name));
       }
     }
-    if (periodic.empty()) return oracle_.feasible(jobs);
+    if (periodic.empty()) return sched::feasible(options_.policy, jobs);
     return sched::mixed_feasible(jobs, periodic);
-  }
-
-  [[nodiscard]] std::size_t oracle_analyses() const {
-    return oracle_.analyses();
   }
 
  private:
   const SwGraph* sw_;
   ClusteringOptions options_;
-  sched::FeasibilityOracle oracle_;
 };
 
 struct RandomSystem {
@@ -197,8 +191,6 @@ void expect_same_verdicts(std::uint64_t seed, bool schedulability,
     }
   }
   EXPECT_EQ(engine_queries, reference_queries) << "seed " << seed;
-  EXPECT_EQ(engine.oracle_analyses(), reference.oracle_analyses())
-      << "seed " << seed;
   EXPECT_GT(accepted, 0) << "seed " << seed;
   EXPECT_GT(refused, 0) << "seed " << seed;
 }

@@ -281,15 +281,5 @@ TEST(CanCombine, RejectsReplicasAndInfeasibleUnions) {
                                  identity.cluster_of[p3a]));
 }
 
-TEST(ClusterEngine, OracleCachesAcrossQueries) {
-  Fixture fx;
-  auto engine = fx.engine(6);
-  (void)engine.h1_greedy();
-  const std::size_t first = engine.oracle_analyses();
-  (void)engine.h1_greedy();
-  // The second identical run must be fully served by the cache.
-  EXPECT_EQ(engine.oracle_analyses(), first);
-}
-
 }  // namespace
 }  // namespace fcm::mapping

@@ -4,7 +4,7 @@
 // The files under tests/resilience/golden/ were captured before the two
 // samplers shared one mission trial and the resilience layer shared one
 // process view. The one-shot cases are exactly what `fcm_tool` prints:
-//   fcm_tool depend [--hw N] [--q P] [--trials N] --threads 1
+//   FCM_THREADS=1 fcm_tool depend [--hw N] [--q P] [--trials N]
 //   fcm_tool resilience --rare-event [--synthetic P] [--hw N] [--q P]
 //       [--tilt Q]
 //   fcm_tool resilience --adversary [--synthetic P --hw N --restarts R
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -58,11 +59,20 @@ void expect_one_shot(Opcode opcode, std::initializer_list<Case> cases) {
 }
 
 TEST(GoldenAssessments, Depend) {
+  // The report prints its worker count, which FCM_THREADS selects; the
+  // files hold the one-lane run.
+  const char* saved = std::getenv("FCM_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("FCM_THREADS", "1", 1);
   expect_one_shot(Opcode::kDepend,
-                  {{"threads=1", "depend.txt"},
-                   {"q=0.2 trials=5000 threads=1", "depend_q0.2_t5000.txt"},
-                   {"hw=6 q=0.1 trials=3000 threads=1",
-                    "depend_hw6_q0.1_t3000.txt"}});
+                  {{"", "depend.txt"},
+                   {"q=0.2 trials=5000", "depend_q0.2_t5000.txt"},
+                   {"hw=6 q=0.1 trials=3000", "depend_hw6_q0.1_t3000.txt"}});
+  if (saved != nullptr) {
+    ::setenv("FCM_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("FCM_THREADS");
+  }
 }
 
 TEST(GoldenAssessments, RareEvent) {

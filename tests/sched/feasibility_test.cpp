@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 namespace fcm::sched {
 namespace {
 
@@ -18,53 +16,30 @@ Job make_job(std::uint32_t id, std::int64_t est, std::int64_t tcd,
   return job;
 }
 
-TEST(FeasibilityOracle, PreemptiveDefaultVerdicts) {
-  FeasibilityOracle oracle;
-  EXPECT_TRUE(oracle.feasible({make_job(0, 0, 10, 4)}));
-  EXPECT_FALSE(
-      oracle.feasible({make_job(0, 0, 5, 3), make_job(1, 2, 6, 4)}));
+TEST(Feasibility, PreemptiveEdfVerdicts) {
+  EXPECT_TRUE(feasible(Policy::kPreemptiveEdf, {make_job(0, 0, 10, 4)}));
+  EXPECT_FALSE(feasible(Policy::kPreemptiveEdf,
+                        {make_job(0, 0, 5, 3), make_job(1, 2, 6, 4)}));
 }
 
-TEST(FeasibilityOracle, CachesRepeatQueries) {
-  FeasibilityOracle oracle;
-  const std::vector<Job> jobs{make_job(0, 0, 10, 4), make_job(1, 0, 20, 4)};
-  EXPECT_TRUE(oracle.feasible(jobs));
-  EXPECT_TRUE(oracle.feasible(jobs));
-  EXPECT_EQ(oracle.analyses(), 1u);
-  EXPECT_EQ(oracle.cache_hits(), 1u);
-}
-
-TEST(FeasibilityOracle, CacheIsOrderInsensitive) {
-  FeasibilityOracle oracle;
-  std::vector<Job> jobs{make_job(0, 0, 10, 4), make_job(1, 5, 20, 4)};
-  EXPECT_TRUE(oracle.feasible(jobs));
-  std::reverse(jobs.begin(), jobs.end());
-  EXPECT_TRUE(oracle.feasible(jobs));
-  EXPECT_EQ(oracle.analyses(), 1u);
-}
-
-TEST(FeasibilityOracle, PolicyChangesVerdict) {
+TEST(Feasibility, PolicyChangesVerdict) {
   // Preemption-dependent set <0,60,50> and <10,20,5>: preemptive EDF
   // interleaves (j0 0..10, j1 10..15, j0 15..55 <= 60). Non-preemptively,
   // j0 first ends at 50 > 20 (j1 misses); waiting and running j1 first
   // pushes j0 to 15..65 > 60. Infeasible under every dispatch order.
   const std::vector<Job> jobs{make_job(0, 0, 60, 50), make_job(1, 10, 20, 5)};
-  FeasibilityOracle preemptive(Policy::kPreemptiveEdf);
-  FeasibilityOracle nonpreemptive(Policy::kNonPreemptive);
-  EXPECT_TRUE(preemptive.feasible(jobs));
-  EXPECT_FALSE(nonpreemptive.feasible(jobs));
+  EXPECT_TRUE(feasible(Policy::kPreemptiveEdf, jobs));
+  EXPECT_FALSE(feasible(Policy::kNonPreemptive, jobs));
 }
 
-TEST(FeasibilityOracle, NpEdfHeuristicPolicy) {
-  FeasibilityOracle heuristic(Policy::kNonPreemptiveEdf);
+TEST(Feasibility, NpEdfHeuristicPolicy) {
   // The idle-insertion case NP-EDF cannot solve but exact search can.
   const std::vector<Job> jobs{make_job(0, 0, 20, 10), make_job(1, 5, 9, 4)};
-  EXPECT_FALSE(heuristic.feasible(jobs));
-  FeasibilityOracle exact(Policy::kNonPreemptive);
-  EXPECT_TRUE(exact.feasible(jobs));
+  EXPECT_FALSE(feasible(Policy::kNonPreemptiveEdf, jobs));
+  EXPECT_TRUE(feasible(Policy::kNonPreemptive, jobs));
 }
 
-TEST(FeasibilityOracle, PolicyNames) {
+TEST(Feasibility, PolicyNames) {
   EXPECT_STREQ(to_string(Policy::kPreemptiveEdf), "preemptive-EDF");
   EXPECT_STREQ(to_string(Policy::kNonPreemptive), "non-preemptive-exact");
   EXPECT_STREQ(to_string(Policy::kNonPreemptiveEdf), "non-preemptive-EDF");

@@ -2,10 +2,10 @@
 // renderer `fcm_tool` prints through throws QueryError, and a live server
 // answers kBadRequest and keeps the connection usable. Covers negative
 // counts, which a plain uint32 cast used to turn into 4294967295 (a
-// depend of "-1" trials ran none and printed every survival as 0), and the
+// depend of "-1" trials ran none and printed every survival as 0), the
 // mapping keys `quotient=` and `sweep_threads=`, which went away with the
-// full-rebuild quotient mode and as a value nothing read, and
-// probabilities outside their ranges.
+// full-rebuild quotient mode and as a value nothing read, the `threads=`
+// key, and probabilities outside their ranges.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,7 +31,6 @@ const std::vector<BadQuery>& bad_queries() {
   static const std::vector<BadQuery> kQueries = {
       {protocol::Opcode::kDepend, "trials=-1", "--trials must be >= 0"},
       {protocol::Opcode::kDepend, "trials=-4096", "--trials must be >= 0"},
-      {protocol::Opcode::kDepend, "threads=-1", "--threads must be >= 0"},
       {protocol::Opcode::kAdversary, "trials=-1", "--trials must be >= 0"},
       {protocol::Opcode::kAdversary, "restarts=-1",
        "--restarts must be >= 0"},
@@ -43,11 +42,9 @@ const std::vector<BadQuery>& bad_queries() {
        "--max_events must be >= 0"},
       {protocol::Opcode::kAdversary, "max_crashes=-1",
        "--max_crashes must be >= 0"},
-      {protocol::Opcode::kAdversary, "threads=-3", "--threads must be >= 0"},
       {protocol::Opcode::kRareEvent, "trials=-1", "--trials must be >= 0"},
       {protocol::Opcode::kRareEvent, "pilot=-1", "--pilot must be >= 0"},
       {protocol::Opcode::kRareEvent, "levels=-1", "--levels must be >= 0"},
-      {protocol::Opcode::kRareEvent, "threads=-1", "--threads must be >= 0"},
       {protocol::Opcode::kMapping, "quotient=rebuild",
        "unknown parameter 'quotient'"},
       {protocol::Opcode::kMapping, "quotient=incremental",
@@ -57,13 +54,20 @@ const std::vector<BadQuery>& bad_queries() {
 }
 
 // Removed keys and out-of-range probabilities. `sweep_threads=` was parsed
-// and dropped (the resident planner sweeps on every core), and q or tilt
-// outside their ranges, NaN included, reached a library precondition and
-// came back as a server error instead of a request error.
+// and dropped (the resident planner sweeps on every core); `threads=` grew
+// the process-wide pool, which never shrinks, to whatever a request asked
+// (FCM_THREADS sizes it instead); and q or tilt outside their ranges, NaN
+// included, reached a library precondition and came back as a server error
+// instead of a request error.
 const std::vector<BadQuery>& bad_values() {
   static const std::vector<BadQuery> kQueries = {
       {protocol::Opcode::kMapping, "sweep_threads=3",
        "unknown parameter 'sweep_threads'"},
+      {protocol::Opcode::kDepend, "threads=2", "unknown parameter 'threads'"},
+      {protocol::Opcode::kAdversary, "threads=2",
+       "unknown parameter 'threads'"},
+      {protocol::Opcode::kRareEvent, "threads=2",
+       "unknown parameter 'threads'"},
       {protocol::Opcode::kDepend, "q=1.5", "q must be in [0, 1]"},
       {protocol::Opcode::kDepend, "q=-0.1", "q must be in [0, 1]"},
       {protocol::Opcode::kDepend, "q=nan", "q must be in [0, 1]"},
