@@ -1,6 +1,7 @@
 #include "graph/mincut.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.h"
@@ -9,66 +10,93 @@ namespace fcm::graph {
 
 namespace {
 
-// Stoer–Wagner on a dense symmetric weight matrix. `labels[i]` carries the
-// set of original node indices merged into row i.
-CutResult stoer_wagner(std::vector<std::vector<double>> w,
-                       std::vector<std::vector<NodeIndex>> labels,
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+// Stoer–Wagner on the dense symmetric n×n matrix `w` (row-major), row i
+// standing for subset[i]. A merge folds row `last` into row `prev`; the
+// rows merged into row r form the list r, next[r], next[next[r]], ...,
+// ending at tail[r].
+//
+// The cuts are bit-identical to the two-pass textbook loop kept in
+// tests/graph/stoer_wagner_reference.h: a phase's unadded rows stay in
+// ascending row order, so the first maximum by position is the largest
+// key with ties to the smallest row; each key receives the picked rows'
+// weights in pick order; and each merge makes the same additions.
+CutResult stoer_wagner(std::vector<double> w,
+                       const std::vector<NodeIndex>& subset,
                        std::size_t total_nodes) {
-  const std::size_t n = w.size();
-  FCM_REQUIRE(n >= 2, "min-cut requires at least two nodes");
+  const std::size_t n = subset.size();
 
   double best_weight = std::numeric_limits<double>::infinity();
-  std::vector<NodeIndex> best_side;
+  std::vector<std::size_t> best_side;
+  best_side.reserve(n);
 
-  std::vector<std::size_t> active(n);
-  for (std::size_t i = 0; i < n; ++i) active[i] = i;
+  std::vector<std::size_t> active(n);  // unmerged rows, ascending
+  std::vector<std::size_t> next(n, kNone), tail(n);
+  for (std::size_t i = 0; i < n; ++i) active[i] = tail[i] = i;
+  // The current phase's unadded rows (ascending) and their keys.
+  std::vector<std::size_t> rows(n);
+  std::vector<double> keys(n);
 
   while (active.size() > 1) {
-    // Maximum-adjacency ordering starting from active[0].
-    std::vector<double> key(active.size(), 0.0);
-    std::vector<bool> added(active.size(), false);
-    std::size_t prev = 0, last = 0;
-    for (std::size_t round = 0; round < active.size(); ++round) {
-      std::size_t pick = active.size();
-      double best_key = -1.0;
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (!added[i] && key[i] > best_key) {
-          best_key = key[i];
-          pick = i;
+    // Maximum-adjacency ordering from the smallest row. Each round is one
+    // pass: drop the pick, add its row to the other keys, find the next.
+    std::size_t m = active.size();
+    std::copy(active.begin(), active.end(), rows.begin());
+    std::fill_n(keys.begin(), m, 0.0);
+    std::size_t pick = 0;  // position of the round's pick in rows
+    std::size_t prev = 0;
+    while (m > 1) {
+      prev = rows[pick];
+      const double* const wp = &w[prev * n];
+      double top_key = -std::numeric_limits<double>::infinity();
+      std::size_t top = 0, kept = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (i == pick) continue;
+        const std::size_t v = rows[i];
+        const double key = keys[i] + wp[v];
+        rows[kept] = v;
+        keys[kept] = key;
+        if (key > top_key) {
+          top_key = key;
+          top = kept;
         }
+        ++kept;
       }
-      added[pick] = true;
-      prev = last;
-      last = pick;
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (!added[i]) key[i] += w[active[pick]][active[i]];
+      pick = top;
+      m = kept;
+    }
+    const std::size_t last = rows[0];
+
+    // Cut-of-the-phase: the last added row vs. the rest.
+    if (keys[0] < best_weight) {
+      best_weight = keys[0];
+      best_side.clear();
+      for (std::size_t v = last; v != kNone; v = next[v]) {
+        best_side.push_back(v);
       }
     }
 
-    // Cut-of-the-phase: last added node vs. the rest.
-    const double phase_weight = key[last];
-    if (phase_weight < best_weight) {
-      best_weight = phase_weight;
-      best_side = labels[active[last]];
+    // Merge `last` into `prev`, dropping `last` from the active rows.
+    double* const wa = &w[prev * n];
+    const double* const wb = &w[last * n];
+    std::size_t kept = 0;
+    for (const std::size_t v : active) {
+      if (v == last) continue;
+      active[kept++] = v;
+      if (v == prev) continue;
+      wa[v] += wb[v];
+      w[v * n + prev] = wa[v];
     }
-
-    // Merge `last` into `prev`.
-    const std::size_t a = active[prev];
-    const std::size_t b = active[last];
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const std::size_t v = active[i];
-      if (v == a || v == b) continue;
-      w[a][v] += w[b][v];
-      w[v][a] = w[a][v];
-    }
-    labels[a].insert(labels[a].end(), labels[b].begin(), labels[b].end());
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(last));
+    active.resize(kept);
+    next[tail[prev]] = last;
+    tail[prev] = tail[last];
   }
 
   CutResult result;
   result.weight = best_weight;
   result.in_first_side.assign(total_nodes, false);
-  for (const NodeIndex v : best_side) result.in_first_side[v] = true;
+  for (const std::size_t v : best_side) result.in_first_side[subset[v]] = true;
   return result;
 }
 
@@ -92,21 +120,22 @@ CutResult global_min_cut_subset(const Digraph& g,
     row[subset[i]] = static_cast<std::int64_t>(i);
   }
 
-  std::vector<std::vector<double>> w(
-      subset.size(), std::vector<double>(subset.size(), 0.0));
+  const std::size_t n = subset.size();
+  std::vector<double> w(n * n, 0.0);
   for (const Edge& e : g.edges()) {
     const std::int64_t a = row[e.from];
     const std::int64_t b = row[e.to];
     if (a < 0 || b < 0) continue;
+    // Stoer–Wagner holds only for non-negative weights; NaN fails too.
+    FCM_REQUIRE(e.weight >= 0.0, "min-cut edge weights must be non-negative");
     // Symmetrize: mutual influence is the sum of both directions.
-    w[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] += e.weight;
-    w[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] += e.weight;
+    const auto ua = static_cast<std::size_t>(a);
+    const auto ub = static_cast<std::size_t>(b);
+    w[ua * n + ub] += e.weight;
+    w[ub * n + ua] += e.weight;
   }
 
-  std::vector<std::vector<NodeIndex>> labels(subset.size());
-  for (std::size_t i = 0; i < subset.size(); ++i) labels[i] = {subset[i]};
-
-  return stoer_wagner(std::move(w), std::move(labels), g.node_count());
+  return stoer_wagner(std::move(w), subset, g.node_count());
 }
 
 }  // namespace fcm::graph

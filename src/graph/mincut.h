@@ -22,12 +22,14 @@ struct CutResult {
 };
 
 /// Stoer–Wagner global min-cut on the undirected projection. Requires at
-/// least two nodes. Disconnected graphs yield a zero-weight cut.
+/// least two nodes and non-negative edge weights (InvalidArgument on a
+/// negative or NaN weight). Disconnected graphs yield a zero-weight cut.
 CutResult global_min_cut(const Digraph& g);
 
 /// Stoer–Wagner restricted to a subset of nodes (used by the recursive-
 /// bisection driver of H2). `subset` lists node indices of `g`; must contain
-/// at least two nodes.
+/// at least two nodes. Only edges with both ends in `subset` count, so only
+/// their weights must be non-negative.
 CutResult global_min_cut_subset(const Digraph& g,
                                 const std::vector<NodeIndex>& subset);
 

@@ -1,7 +1,9 @@
 #include "sched/edf.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
+#include <utility>
 
 #include "common/error.h"
 
@@ -41,7 +43,12 @@ void edf_sweep(const std::vector<Job>& jobs, Ran&& ran, Missed&& missed) {
               return a < b;
             });
 
-  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
+  // Each job is queued at most once at a time, so one reservation covers
+  // the heap.
+  std::vector<Ready> heap;
+  heap.reserve(jobs.size());
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready(
+      std::greater<>{}, std::move(heap));
   std::vector<Duration> remaining(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) remaining[i] = jobs[i].cost;
 

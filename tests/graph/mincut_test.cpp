@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "common/error.h"
@@ -89,8 +90,37 @@ TEST(MinCut, SubsetRestriction) {
   g.add_edge(0, 1, 3.0);
   g.add_edge(1, 2, 1.0);
   g.add_edge(2, 3, 100.0);  // outside the subset; must not matter
+  // Outside the subset, weights the cut rejects are ignored too.
+  g.add_edge(3, 0, -5.0);
+  g.add_edge(1, 3, std::numeric_limits<double>::quiet_NaN());
   const CutResult cut = global_min_cut_subset(g, {0, 1, 2});
   EXPECT_NEAR(cut.weight, 1.0, 1e-12);
+  EXPECT_EQ(cut.in_first_side[0], cut.in_first_side[1]);
+  EXPECT_NE(cut.in_first_side[1], cut.in_first_side[2]);
+  EXPECT_FALSE(cut.in_first_side[3]);
+}
+
+// Stoer–Wagner is defined for non-negative weights only: a negative or
+// NaN weight can leave a maximum-adjacency round with no key above its
+// start, so the cut rejects it before it runs.
+TEST(MinCut, RejectsNegativeWeights) {
+  Digraph g;
+  for (int i = 0; i < 3; ++i) g.add_node(std::to_string(i));
+  g.add_edge(0, 1, -2.0);
+  g.add_edge(1, 2, -2.0);
+  g.add_edge(2, 0, -2.0);
+  EXPECT_THROW(global_min_cut(g), InvalidArgument);
+  EXPECT_THROW(global_min_cut_subset(g, {2, 0}), InvalidArgument);
+}
+
+TEST(MinCut, RejectsNaNWeights) {
+  Digraph g;
+  for (int i = 0; i < 3; ++i) g.add_node(std::to_string(i));
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 2, std::numeric_limits<double>::quiet_NaN());
+  g.add_edge(2, 0, 1.0);
+  EXPECT_THROW(global_min_cut(g), InvalidArgument);
+  EXPECT_THROW(global_min_cut_subset(g, {1, 2}), InvalidArgument);
 }
 
 class MinCutRandom : public ::testing::TestWithParam<std::uint64_t> {};
