@@ -11,11 +11,12 @@
 //       --iterations I]
 //   fcm_tool replan [--hw N] --fail LIST [--heuristic H --approach A]
 //   fcm_tool resilience [--trials N --seed S]
-// The sampler cases with intrinsic SW faults have no CLI path; they render
-// the library reports directly. Regenerate the files only for an intended
-// output change.
+// The sampler cases with intrinsic SW faults and the overloaded-host
+// campaign slice have no CLI path; they render the library reports
+// directly. Regenerate the files only for an intended output change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include <string>
 
 #include "core/example98.h"
+#include "core/synthetic.h"
 #include "dependability/montecarlo.h"
 #include "mapping/planner.h"
 #include "resilience/campaign.h"
@@ -132,6 +134,51 @@ TEST(GoldenAssessments, Campaign) {
   EXPECT_EQ(campaign_json(core::example98::kHwNodes, 96, 2026),
             golden("campaign.json"));
   EXPECT_EQ(campaign_json(6, 64, 7), golden("campaign_hw6_t64_seed7.json"));
+}
+
+// The example98 campaigns never push a host past utilisation 1. The
+// synthetic-32-42 best plan at 12 HW nodes stacks most replicas on one host
+// (1 ms of work per 20 ms period each), so its ready queue runs deep and
+// about half its deadlines miss even without faults: this pins the
+// simulator's dispatch order where it has many jobs to order. A slice of
+// the standard grid keeps the file small: the crash of that host (it
+// abandons the deep queue), the babbler, the region corruption and the
+// combined crash-plus-burst.
+TEST(GoldenAssessments, CampaignOnAnOverloadedHost) {
+  const core::synthetic::System sys = core::synthetic::make_system(32, 42);
+  const mapping::HwGraph hw = mapping::HwGraph::complete(12);
+  const mapping::IntegrationPlanner planner(sys.hierarchy, sys.influence,
+                                            sys.processes, hw);
+  const mapping::Plan plan = planner.best_plan();
+  const mapping::SwGraph& sw = planner.sw_graph();
+  const graph::Partition& partition = plan.clustering.partition;
+
+  std::vector<std::size_t> hosted(hw.node_count(), 0);
+  for (graph::NodeIndex v = 0; v < sw.node_count(); ++v) {
+    ++hosted[plan.assignment.host(partition.cluster_of[v]).value()];
+  }
+  const auto busiest = static_cast<std::uint32_t>(
+      std::max_element(hosted.begin(), hosted.end()) - hosted.begin());
+  ASSERT_GT(hosted[busiest], 20u) << "the busiest host is not overloaded";
+
+  const std::string crash = "crash-" + hw.node(HwNodeId(busiest)).name;
+  std::vector<Scenario> slice;
+  for (Scenario& scenario :
+       standard_grid(sw, partition, plan.assignment, hw)) {
+    const std::string& name = scenario.name;
+    if (name == crash || name == "crash+burst" ||
+        name.rfind("babble-", 0) == 0 || name.rfind("corrupt-", 0) == 0) {
+      slice.push_back(std::move(scenario));
+    }
+  }
+  ASSERT_EQ(slice.size(), 4u);
+
+  CampaignOptions options;
+  options.trials = 16;
+  EXPECT_EQ(to_json(run_campaign(sw, partition, plan.assignment, hw, slice,
+                                 2026, options)) +
+                "\n",
+            golden("campaign_synthetic-32-42_hw12_t16.json"));
 }
 
 std::string render(const dependability::DependabilityReport& report) {
