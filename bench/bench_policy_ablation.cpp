@@ -39,10 +39,10 @@ PlatformSpec shared_cpu(SchedPolicy policy) {
 /// after a timing fault of the given severity hit the hog.
 double transmission_rate(SchedPolicy policy, double cost_factor,
                          int trials) {
+  const PlatformSpec spec = shared_cpu(policy);
   int transmitted = 0;
   for (int trial = 0; trial < trials; ++trial) {
-    Platform platform(shared_cpu(policy),
-                      static_cast<std::uint64_t>(trial) + 1);
+    Platform platform(spec, static_cast<std::uint64_t>(trial) + 1);
     FaultInjection injection;
     injection.kind = FaultKind::kTiming;
     injection.target = 0;
@@ -81,9 +81,10 @@ void print_reproduction() {
 
 void BM_TransmissionTrial(benchmark::State& state) {
   const auto policy = static_cast<SchedPolicy>(state.range(0));
+  const PlatformSpec spec = shared_cpu(policy);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    Platform platform(shared_cpu(policy), seed++);
+    Platform platform(spec, seed++);
     FaultInjection injection;
     injection.kind = FaultKind::kTiming;
     injection.target = 0;

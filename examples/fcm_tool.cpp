@@ -22,12 +22,13 @@
 // Every command also accepts --metrics (dump the fcm::obs registry after
 // the run) and --trace FILE (write a chrome://tracing span file). Options
 // are validated strictly: unknown options, missing values, malformed
-// numbers and out-of-range values print a one-line error plus usage and
-// exit 2. Parallel work runs on FCM_THREADS lanes, or on every hardware
+// numbers, out-of-range values and options the selected resilience mode
+// does not read print a one-line error plus usage and exit 2. Parallel work runs on FCM_THREADS lanes, or on every hardware
 // core when it is unset; only depend's `workers / blocks` line shows it.
 #include <atomic>
 #include <csignal>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -244,11 +245,38 @@ int cmd_replan(const cli::Options& args) {
                        {"approach", "approach"}});
 }
 
+// Rejects options the selected resilience mode never reads, so a
+// misplaced one fails loudly instead of running a different experiment
+// than the command line describes (e.g. the example98 campaign under
+// --synthetic).
+void reject_unread(const cli::Options& args, const std::string& mode,
+                   std::initializer_list<const char*> names) {
+  for (const char* name : names) {
+    if (args.given(name)) {
+      throw cli::CliError("--" + std::string(name) + " does not apply to " +
+                          mode);
+    }
+  }
+}
+
 int cmd_resilience(const cli::Options& args) {
   const bool adversary = args.flag("adversary");
   const bool rare_event = args.flag("rare-event");
   if (adversary && rare_event) {
     throw cli::CliError("--adversary and --rare-event are exclusive");
+  }
+  if (adversary) {
+    reject_unread(args, "--adversary",
+                  {"horizon-ms", "q", "tilt", "pilot", "levels"});
+  } else if (rare_event) {
+    reject_unread(args, "--rare-event",
+                  {"horizon-ms", "restarts", "iterations", "neighbors",
+                   "max-events", "max-crashes", "anneal"});
+  } else {
+    reject_unread(args, "the campaign",
+                  {"synthetic", "restarts", "iterations", "neighbors",
+                   "max-events", "max-crashes", "anneal", "q", "tilt",
+                   "pilot", "levels"});
   }
   if (adversary || rare_event) {
     // Evaluated through the shared one-shot renderer, so daemon responses

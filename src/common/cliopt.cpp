@@ -9,6 +9,10 @@ bool Options::flag(const std::string& name) const {
   return flags_.count(name) > 0;
 }
 
+bool Options::given(const std::string& name) const {
+  return flag(name) || values_.count(name) > 0;
+}
+
 std::string Options::get(const std::string& name, std::string fallback) const {
   const auto it = values_.find(name);
   return it == values_.end() ? std::move(fallback) : it->second;

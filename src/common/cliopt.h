@@ -39,6 +39,10 @@ class Options {
   /// Whether a boolean flag (e.g. --metrics) was given.
   [[nodiscard]] bool flag(const std::string& name) const;
 
+  /// Whether the option was given at all, as a flag or with a value (even
+  /// an empty one).
+  [[nodiscard]] bool given(const std::string& name) const;
+
   /// The raw value, or `fallback` when the option was not given.
   [[nodiscard]] std::string get(const std::string& name,
                                 std::string fallback) const;

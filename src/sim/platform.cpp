@@ -1,6 +1,7 @@
 #include "sim/platform.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.h"
 
@@ -13,8 +14,8 @@ bool SimReport::propagated(TaskIndex from, TaskIndex to) const {
                      });
 }
 
-Platform::Platform(PlatformSpec spec, std::uint64_t seed)
-    : spec_(std::move(spec)), rng_(seed) {
+Platform::Platform(const PlatformSpec& spec, std::uint64_t seed)
+    : spec_(spec), rng_(seed) {
   spec_.validate();
   processors_.resize(spec_.processors.size());
   task_states_.resize(spec_.tasks.size());
@@ -28,6 +29,18 @@ void Platform::inject(const FaultInjection& injection) {
   FCM_REQUIRE(!ran_, "faults must be planted before the run");
   FCM_REQUIRE(injection.target < spec_.tasks.size(),
               "injection targets an unknown task");
+  if (injection.kind == FaultKind::kTiming) {
+    const double factor = injection.cost_factor;
+    FCM_REQUIRE(std::isfinite(factor) && factor >= 0.0,
+                "timing fault needs a finite, non-negative cost factor");
+    const double inflated =
+        static_cast<double>(spec_.tasks[injection.target].cost.count()) *
+        factor;
+    const double limit = static_cast<double>(
+        Instant::distant_future().since_epoch().count());
+    FCM_REQUIRE(inflated <= limit,
+                "timing fault inflates the cost past the distant future");
+  }
   injections_.push_back(injection);
 }
 
@@ -59,6 +72,96 @@ void Platform::corrupt_region_at(RegionId region, Duration at,
   timed_events_.push_back(event);
 }
 
+bool Platform::runs_after(const Job& a, const Job& b) noexcept {
+  return a.rank > b.rank ||
+         (a.rank == b.rank && a.arrival_seq > b.arrival_seq);
+}
+
+// ---- Event slots: one indexed binary heap keyed by (when, seq). ----
+
+bool Platform::fires_before(std::uint32_t a, std::uint32_t b) const {
+  const Slot& x = slots_[a];
+  const Slot& y = slots_[b];
+  return x.when < y.when || (x.when == y.when && x.seq < y.seq);
+}
+
+void Platform::place(std::uint32_t pos, std::uint32_t slot) {
+  heap_[pos] = slot;
+  slots_[slot].heap_pos = pos;
+}
+
+void Platform::sift_up(std::uint32_t pos, std::uint32_t slot) {
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!fires_before(slot, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, slot);
+}
+
+void Platform::sift_down(std::uint32_t pos, std::uint32_t slot) {
+  const auto size = static_cast<std::uint32_t>(heap_.size());
+  for (std::uint32_t child = 2 * pos + 1; child < size;
+       child = 2 * pos + 1) {
+    if (child + 1 < size && fires_before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!fires_before(heap_[child], slot)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, slot);
+}
+
+void Platform::schedule(std::uint32_t slot, Instant when) {
+  FCM_REQUIRE(when >= now_, "cannot schedule an event in the past");
+  Slot& s = slots_[slot];
+  FCM_REQUIRE(s.heap_pos == kIdle, "event slot already pending");
+  s.when = when;
+  s.seq = next_seq_++;
+  heap_.push_back(slot);
+  sift_up(static_cast<std::uint32_t>(heap_.size() - 1), slot);
+}
+
+void Platform::cancel(std::uint32_t slot) {
+  const std::uint32_t pos = slots_[slot].heap_pos;
+  slots_[slot].heap_pos = kIdle;
+  const std::uint32_t last = heap_.back();
+  heap_.pop_back();
+  if (last == slot) return;
+  // Refill the hole with the last slot, moved whichever way it must go.
+  if (pos > 0 && fires_before(last, heap_[(pos - 1) / 2])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
+  }
+}
+
+void Platform::fire(std::uint32_t slot) {
+  const auto tasks = static_cast<std::uint32_t>(spec_.tasks.size());
+  if (slot < tasks) {
+    release_job(slot, slots_[slot].activation);
+    return;
+  }
+  const std::uint32_t processor = slot - tasks;
+  if (processor < processors_.size()) {
+    complete_current(processor);
+    return;
+  }
+  const TimedEvent& event = timed_events_[processor - processors_.size()];
+  switch (event.kind) {
+    case TimedEvent::Kind::kProcessorCrash:
+      crash_processor(event.processor);
+      break;
+    case TimedEvent::Kind::kRegionCorruption:
+      regions_[event.region.value()] = Taint{true, event.blame};
+      break;
+  }
+}
+
+// ---- Scheduling. ----
+
 void Platform::crash_processor(std::uint32_t processor) {
   ProcessorState& p = processors_[processor];
   if (p.crashed) return;
@@ -67,7 +170,7 @@ void Platform::crash_processor(std::uint32_t processor) {
   // Abandon the job in service and everything queued: each counts as a
   // failure of its task (the output was never delivered).
   if (p.current.has_value()) {
-    queue_.cancel(p.completion_token);
+    cancel(completion_slot(processor));
     ++report_.tasks[p.current->task].failures;
     ++report_.jobs_abandoned;
     p.current.reset();
@@ -103,12 +206,25 @@ void Platform::release_job(TaskIndex task, std::uint32_t activation) {
   const TaskSpec& spec = spec_.tasks[task];
   if (task_states_[task].crashed) return;
 
+  const std::uint32_t processor = spec.processor.value();
+  const SchedPolicy policy = spec_.processors[processor].policy;
   Job job;
   job.task = task;
   job.activation = activation;
-  job.release = queue_.now();
-  job.absolute_deadline = job.release + spec.deadline;
+  job.absolute_deadline = now_ + spec.deadline;
   job.remaining = spec.cost;
+  switch (policy) {
+    case SchedPolicy::kPreemptiveEdf:
+      job.rank = job.absolute_deadline.since_epoch();
+      break;
+    case SchedPolicy::kFixedPriorityDm:
+      // Static priority: shorter relative deadline wins.
+      job.rank = spec.deadline;
+      break;
+    case SchedPolicy::kNonPreemptiveFifo:
+      job.rank = Duration::zero();
+      break;
+  }
   job.arrival_seq = next_arrival_seq_++;
   ++report_.tasks[task].activations;
 
@@ -116,6 +232,7 @@ void Platform::release_job(TaskIndex task, std::uint32_t activation) {
   if (const FaultInjection* injection = injection_for(task, activation)) {
     switch (injection->kind) {
       case FaultKind::kTiming:
+        // `inject` bounded the product, so the cast cannot overflow.
         job.remaining = Duration::ticks(static_cast<std::int64_t>(
             static_cast<double>(spec.cost.count()) * injection->cost_factor));
         break;
@@ -129,44 +246,32 @@ void Platform::release_job(TaskIndex task, std::uint32_t activation) {
     }
   }
 
-  const std::uint32_t processor = spec.processor.value();
   ProcessorState& p = processors_[processor];
   if (p.crashed) return;
 
-  // Schedule the next periodic release.
-  const Instant next = job.release + spec.period;
+  // Schedule the next periodic release into the task's own slot, which
+  // this release just vacated.
+  const Instant next = now_ + spec.period;
   if (next.since_epoch() < horizon_) {
-    queue_.schedule_at(next, [this, task, activation] {
-      release_job(task, activation + 1);
-    });
+    slots_[task].activation = activation + 1;
+    schedule(task, next);
   }
 
   p.ready.push_back(job);
+  std::push_heap(p.ready.begin(), p.ready.end(), runs_after);
   if (!p.current.has_value()) {
     dispatch(processor);
     return;
   }
-  const SchedPolicy policy = spec_.processors[processor].policy;
-  bool preempts = false;
-  switch (policy) {
-    case SchedPolicy::kPreemptiveEdf:
-      preempts = job.absolute_deadline < p.current->absolute_deadline;
-      break;
-    case SchedPolicy::kFixedPriorityDm:
-      // Static priority: shorter relative deadline wins.
-      preempts = spec_.tasks[job.task].deadline <
-                 spec_.tasks[p.current->task].deadline;
-      break;
-    case SchedPolicy::kNonPreemptiveFifo:
-      break;
-  }
-  if (preempts) {
+  if (policy != SchedPolicy::kNonPreemptiveFifo &&
+      job.rank < p.current->rank) {
     // Preempt: bank the current job's progress and re-queue it.
-    queue_.cancel(p.completion_token);
+    cancel(completion_slot(processor));
     Job preempted = *p.current;
-    preempted.remaining -= queue_.now() - p.service_start;
+    preempted.remaining -= now_ - p.service_start;
     p.current.reset();
     p.ready.push_back(preempted);
+    std::push_heap(p.ready.begin(), p.ready.end(), runs_after);
     dispatch(processor);
   }
 }
@@ -178,32 +283,10 @@ void Platform::dispatch(std::uint32_t processor) {
     disturbance_[processor].reset();
     return;
   }
-  const SchedPolicy policy = spec_.processors[processor].policy;
-  auto best = p.ready.begin();
-  for (auto it = p.ready.begin(); it != p.ready.end(); ++it) {
-    bool better = false;
-    switch (policy) {
-      case SchedPolicy::kPreemptiveEdf:
-        better = it->absolute_deadline < best->absolute_deadline ||
-                 (it->absolute_deadline == best->absolute_deadline &&
-                  it->arrival_seq < best->arrival_seq);
-        break;
-      case SchedPolicy::kFixedPriorityDm: {
-        const Duration d_it = spec_.tasks[it->task].deadline;
-        const Duration d_best = spec_.tasks[best->task].deadline;
-        better = d_it < d_best ||
-                 (d_it == d_best && it->arrival_seq < best->arrival_seq);
-        break;
-      }
-      case SchedPolicy::kNonPreemptiveFifo:
-        better = it->arrival_seq < best->arrival_seq;
-        break;
-    }
-    if (better) best = it;
-  }
-  p.current = *best;
-  p.ready.erase(best);
-  p.service_start = queue_.now();
+  std::pop_heap(p.ready.begin(), p.ready.end(), runs_after);
+  p.current = p.ready.back();
+  p.ready.pop_back();
+  p.service_start = now_;
 
   // Track whether a timing-inflated job is monopolizing this processor.
   const FaultInjection* injection =
@@ -212,8 +295,7 @@ void Platform::dispatch(std::uint32_t processor) {
     disturbance_[processor] = p.current->task;
   }
 
-  p.completion_token = queue_.schedule_in(
-      p.current->remaining, [this, processor] { complete_current(processor); });
+  schedule(completion_slot(processor), now_ + p.current->remaining);
 }
 
 void Platform::complete_current(std::uint32_t processor) {
@@ -232,7 +314,7 @@ void Platform::finish_job(const Job& job) {
   ++stats.completions;
 
   // ---- Deadline check (timing failures). ----
-  if (queue_.now() > job.absolute_deadline) {
+  if (now_ > job.absolute_deadline) {
     ++stats.deadline_misses;
     ++stats.failures;
     const std::uint32_t processor = spec.processor.value();
@@ -240,7 +322,7 @@ void Platform::finish_job(const Job& job) {
     if (blame.has_value() && *blame != job.task) {
       ++stats.propagated_failures;
       report_.propagations.push_back(
-          PropagationEvent{*blame, job.task, queue_.now()});
+          PropagationEvent{*blame, job.task, now_});
     }
   }
 
@@ -271,7 +353,7 @@ void Platform::finish_job(const Job& job) {
         ++stats.failures;
         ++stats.propagated_failures;
         report_.propagations.push_back(
-            PropagationEvent{input.origin, job.task, queue_.now()});
+            PropagationEvent{input.origin, job.task, now_});
       }
       erroneous = true;
       if (!origin.tainted) origin = input;
@@ -332,32 +414,34 @@ SimReport Platform::run(Duration horizon) {
   ran_ = true;
   horizon_ = horizon;
 
-  // Platform-level events first, so a crash or corruption scheduled at the
-  // same instant as a release acts before it (insertion-order tie-break).
-  for (const TimedEvent& event : timed_events_) {
-    if (event.at >= horizon) continue;
-    queue_.schedule_at(Instant::epoch() + event.at, [this, event] {
-      switch (event.kind) {
-        case TimedEvent::Kind::kProcessorCrash:
-          crash_processor(event.processor);
-          break;
-        case TimedEvent::Kind::kRegionCorruption:
-          regions_[event.region.value()] = Taint{true, event.blame};
-          break;
-      }
-    });
-  }
+  slots_.assign(
+      spec_.tasks.size() + spec_.processors.size() + timed_events_.size(),
+      Slot{});
+  heap_.reserve(slots_.size());
 
+  // Platform-level events first, so a crash or corruption scheduled at the
+  // same instant as a release acts before it (sequence tie-break).
+  const auto first_timed = static_cast<std::uint32_t>(
+      spec_.tasks.size() + spec_.processors.size());
+  for (std::size_t e = 0; e < timed_events_.size(); ++e) {
+    const Duration at = timed_events_[e].at;
+    if (at >= horizon) continue;
+    schedule(first_timed + static_cast<std::uint32_t>(e),
+             Instant::epoch() + at);
+  }
   for (TaskIndex task = 0; task < spec_.tasks.size(); ++task) {
     const Duration offset = spec_.tasks[task].offset;
-    if (offset < horizon) {
-      queue_.schedule_at(Instant::epoch() + offset,
-                         [this, task] { release_job(task, 0); });
-    }
+    if (offset < horizon) schedule(task, Instant::epoch() + offset);
   }
-  queue_.run();
-  report_.events_dispatched = queue_.dispatched();
-  return report_;
+
+  while (!heap_.empty()) {
+    const std::uint32_t slot = heap_.front();
+    cancel(slot);  // pops the earliest pending slot
+    now_ = slots_[slot].when;
+    ++report_.events_dispatched;
+    fire(slot);
+  }
+  return std::move(report_);
 }
 
 }  // namespace fcm::sim

@@ -1,18 +1,27 @@
 // The discrete-event RT platform: scheduling + dataflow + fault propagation.
 //
 // Executes a PlatformSpec: periodic tasks on processors (preemptive EDF or
-// non-preemptive FIFO), consuming and producing data through shared regions
-// and channels. Erroneous state propagates as taint with a tracked origin
-// task, which is what lets the influence estimator attribute a downstream
-// failure to the module whose fault started the chain — the simulated
-// equivalent of the paper's fault-injection campaigns (§4.2.1).
+// DM, or non-preemptive FIFO), consuming and producing data through shared
+// regions and channels. Erroneous state propagates as taint with a tracked
+// origin task, which is what lets the influence estimator attribute a
+// downstream failure to the module whose fault started the chain — the
+// simulated equivalent of the paper's fault-injection campaigns (§4.2.1).
+//
+// Every event source owns one fixed slot that holds at most one pending
+// event: task t its next release, processor p its running job's
+// completion, each planted crash or corruption its own. Pending slots sit
+// in one indexed binary heap keyed by (time, sequence), the sequence drawn
+// at every schedule call, so equal-time events fire in the order they were
+// scheduled. Each processor's ready jobs sit in a binary heap ordered by
+// its policy. The reference simulator in tests/sim/platform_reference.h
+// pins the reports this must reproduce.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/rng.h"
-#include "sim/event_queue.h"
 #include "sim/model.h"
 
 namespace fcm::sim {
@@ -57,11 +66,14 @@ struct SimReport {
 class Platform {
  public:
   /// `seed` drives every stochastic decision; identical (spec, seed,
-  /// injections) triples replay identically. The spec is copied, so
-  /// temporaries are safe to pass.
-  Platform(PlatformSpec spec, std::uint64_t seed);
+  /// injections) triples replay identically. The spec is borrowed, not
+  /// copied: it must outlive the platform, so temporaries are rejected.
+  Platform(const PlatformSpec& spec, std::uint64_t seed);
+  Platform(PlatformSpec&&, std::uint64_t) = delete;
 
-  /// Plants a fault before the run.
+  /// Plants a fault before the run. Throws InvalidArgument for an unknown
+  /// target, and for a kTiming factor that is negative or not finite or
+  /// that inflates the target's cost past Instant::distant_future() ticks.
   void inject(const FaultInjection& injection);
 
   /// Schedules a permanent processor crash at `at` (relative to the run
@@ -83,11 +95,17 @@ class Platform {
   struct Job {
     TaskIndex task = 0;
     std::uint32_t activation = 0;
-    Instant release;
     Instant absolute_deadline;
     Duration remaining;
+    /// The policy's priority, lower first: the absolute deadline under
+    /// EDF, the relative deadline under DM, zero under FIFO. Ties go to
+    /// the lower `arrival_seq`, which is unique per job.
+    Duration rank;
     std::uint64_t arrival_seq = 0;
   };
+  /// Ready-heap order: `a` runs after `b`, so std::push_heap/pop_heap keep
+  /// the job with the lowest (rank, arrival_seq) on top.
+  static bool runs_after(const Job& a, const Job& b) noexcept;
 
   struct Taint {
     bool tainted = false;
@@ -97,8 +115,7 @@ class Platform {
   struct ProcessorState {
     std::optional<Job> current;
     Instant service_start;
-    std::uint64_t completion_token = 0;
-    std::vector<Job> ready;
+    std::vector<Job> ready;  ///< binary heap, best job on top
     bool crashed = false;
   };
 
@@ -117,6 +134,29 @@ class Platform {
     Taint carried;  ///< erroneous state carried across the activation
   };
 
+  static constexpr std::uint32_t kIdle = 0xFFFFFFFFu;
+  /// One event source's pending event.
+  struct Slot {
+    Instant when;
+    std::uint64_t seq = 0;
+    /// Position in `heap_`, or kIdle when nothing is pending.
+    std::uint32_t heap_pos = kIdle;
+    /// Release slots: the activation the pending release starts.
+    std::uint32_t activation = 0;
+  };
+
+  // Slot layout: tasks first, then processors, then timed events.
+  [[nodiscard]] std::uint32_t completion_slot(std::uint32_t processor) const {
+    return static_cast<std::uint32_t>(spec_.tasks.size()) + processor;
+  }
+  void schedule(std::uint32_t slot, Instant when);
+  void cancel(std::uint32_t slot);
+  [[nodiscard]] bool fires_before(std::uint32_t a, std::uint32_t b) const;
+  void place(std::uint32_t pos, std::uint32_t slot);
+  void sift_up(std::uint32_t pos, std::uint32_t slot);
+  void sift_down(std::uint32_t pos, std::uint32_t slot);
+  void fire(std::uint32_t slot);
+
   void release_job(TaskIndex task, std::uint32_t activation);
   void dispatch(std::uint32_t processor);
   void complete_current(std::uint32_t processor);
@@ -125,11 +165,15 @@ class Platform {
   const FaultInjection* injection_for(TaskIndex task,
                                       std::uint32_t activation) const;
 
-  PlatformSpec spec_;
+  const PlatformSpec& spec_;
   Rng rng_;
-  EventQueue queue_;
+  Instant now_;
+  std::uint64_t next_seq_ = 0;
   Duration horizon_ = Duration::zero();
   std::uint64_t next_arrival_seq_ = 0;
+
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> heap_;  ///< pending slots, earliest on top
 
   std::vector<ProcessorState> processors_;
   std::vector<TaskState> task_states_;

@@ -35,6 +35,13 @@ TEST(CliOpt, MissingOptionsFallBack) {
   EXPECT_EQ(options.get("trace", "fallback"), "fallback");
 }
 
+TEST(CliOpt, GivenCoversFlagsAndValues) {
+  const Options options = parse({"--q", "", "--metrics"}, kSpecs);
+  EXPECT_TRUE(options.given("q"));  // an empty value still counts
+  EXPECT_TRUE(options.given("metrics"));
+  EXPECT_FALSE(options.given("threads"));
+}
+
 TEST(CliOpt, BareNamesMatchOldDrivers) {
   const Options options = parse({"threads", "8"}, kSpecs);
   EXPECT_EQ(options.get_int("threads", 1), 8);

@@ -4,7 +4,7 @@
 #include "common/error.h"
 #include "fcm.h"  // the umbrella header must compile standalone
 #include "sched/nonpreemptive.h"
-#include "sim/event_queue.h"
+#include "../sim/platform_reference.h"
 
 namespace fcm {
 namespace {
@@ -29,7 +29,7 @@ TEST(ApiEdges, NpFeasibleRejectsMoreThan64Jobs) {
 }
 
 TEST(ApiEdges, EventQueueEmptyTracksState) {
-  sim::EventQueue queue;
+  sim::reference::EventQueue queue;
   EXPECT_TRUE(queue.empty());
   queue.schedule_in(Duration::micros(5), [] {});
   EXPECT_FALSE(queue.empty());

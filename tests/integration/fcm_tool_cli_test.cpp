@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace {
 
@@ -78,6 +79,42 @@ TEST(FcmToolCli, OutOfRangeValuesAreUsageErrors) {
     EXPECT_NE(run.output.find(message), std::string::npos)
         << args << '\n' << run.output;
     EXPECT_EQ(run.output.find("precondition failed"), std::string::npos)
+        << args << '\n' << run.output;
+    EXPECT_NE(run.output.find("usage: fcm_tool"), std::string::npos) << args;
+  }
+}
+
+TEST(FcmToolCli, OptionsAResilienceModeDoesNotReadAreUsageErrors) {
+  // Each mode used to accept the others' options and ignore them: the
+  // campaign ran example98 under --synthetic 64 and printed the same bytes
+  // as without it.
+  const char* search[] = {"--restarts 2", "--iterations 2", "--neighbors 2",
+                          "--max-events 2", "--max-crashes 1", "--anneal"};
+  const char* sampler[] = {"--q 0.01", "--tilt 0.2", "--pilot 64",
+                           "--levels 2"};
+  std::vector<std::pair<std::string, std::string>> cases = {
+      {"resilience --trials 4 --hw 21 --synthetic 64 --seed 5",
+       "--synthetic does not apply to the campaign"},
+      {"resilience --adversary --horizon-ms 100",
+       "--horizon-ms does not apply to --adversary"},
+      {"resilience --rare-event --horizon-ms 100",
+       "--horizon-ms does not apply to --rare-event"}};
+  for (const char* option : search) {
+    cases.emplace_back(std::string("resilience ") + option,
+                       "does not apply to the campaign");
+    cases.emplace_back(std::string("resilience --rare-event ") + option,
+                       "does not apply to --rare-event");
+  }
+  for (const char* option : sampler) {
+    cases.emplace_back(std::string("resilience ") + option,
+                       "does not apply to the campaign");
+    cases.emplace_back(std::string("resilience --adversary ") + option,
+                       "does not apply to --adversary");
+  }
+  for (const auto& [args, message] : cases) {
+    const ToolRun run = run_tool(args);
+    ASSERT_EQ(run.exit_code, 2) << args << '\n' << run.output;
+    EXPECT_NE(run.output.find(message), std::string::npos)
         << args << '\n' << run.output;
     EXPECT_NE(run.output.find("usage: fcm_tool"), std::string::npos) << args;
   }

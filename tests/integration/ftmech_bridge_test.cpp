@@ -86,8 +86,10 @@ TEST(FtmechBridge, VoterAvailabilityCalibratesInputCheck) {
     spec.add_task(consumer);
     return spec;
   };
-  sim::Platform unguarded(build(0.0), 3);
-  sim::Platform guarded(build(stats.availability()), 3);
+  const sim::PlatformSpec unguarded_spec = build(0.0);
+  const sim::PlatformSpec guarded_spec = build(stats.availability());
+  sim::Platform unguarded(unguarded_spec, 3);
+  sim::Platform guarded(guarded_spec, 3);
   const auto raw = unguarded.run(Duration::seconds(2));
   const auto masked = guarded.run(Duration::seconds(2));
   EXPECT_LT(masked.tasks[1].propagated_failures,

@@ -1,12 +1,13 @@
-#include "sim/event_queue.h"
-
+// The reference simulator's event queue (platform_reference.h): the
+// (time, insertion-sequence) contract sim::Platform's event slots keep.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/error.h"
+#include "platform_reference.h"
 
-namespace fcm::sim {
+namespace fcm::sim::reference {
 namespace {
 
 TEST(EventQueue, FiresInTimeOrder) {
@@ -142,4 +143,4 @@ TEST(EventQueue, HandlersCanScheduleRecursively) {
 }
 
 }  // namespace
-}  // namespace fcm::sim
+}  // namespace fcm::sim::reference

@@ -28,7 +28,8 @@ TEST(Example98Platform, EdgesMirrorTheCanonicalList) {
 }
 
 TEST(Example98Platform, FaultFreeRunIsClean) {
-  Platform platform(example98_platform(), 5);
+  const PlatformSpec spec = example98_platform();
+  Platform platform(spec, 5);
   const SimReport report = platform.run(Duration::millis(100));
   for (const TaskStats& stats : report.tasks) {
     EXPECT_EQ(stats.failures, 0u);

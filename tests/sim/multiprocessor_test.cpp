@@ -48,7 +48,8 @@ PlatformSpec two_cpu_spec() {
 TEST(Multiprocessor, IndependentSchedulersRunInParallel) {
   // Total demand is 9ms per 10ms period — infeasible on one processor,
   // trivial on two.
-  Platform platform(two_cpu_spec(), 1);
+  const PlatformSpec spec = two_cpu_spec();
+  Platform platform(spec, 1);
   const SimReport report = platform.run(Duration::millis(100));
   for (const TaskStats& stats : report.tasks) {
     EXPECT_EQ(stats.deadline_misses, 0u);
@@ -57,7 +58,8 @@ TEST(Multiprocessor, IndependentSchedulersRunInParallel) {
 }
 
 TEST(Multiprocessor, ValueFaultCrossesProcessorsViaChannel) {
-  Platform platform(two_cpu_spec(), 2);
+  const PlatformSpec spec = two_cpu_spec();
+  Platform platform(spec, 2);
   FaultInjection injection;
   injection.kind = FaultKind::kValue;
   injection.target = 0;  // producer on cpu0
@@ -87,7 +89,8 @@ TEST(Multiprocessor, TimingFaultStaysWithinItsProcessor) {
 }
 
 TEST(Multiprocessor, CrashOnOneProcessorSilencesItsChannel) {
-  Platform platform(two_cpu_spec(), 4);
+  const PlatformSpec spec = two_cpu_spec();
+  Platform platform(spec, 4);
   FaultInjection injection;
   injection.kind = FaultKind::kCrash;
   injection.target = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 
 namespace fcm::sim {
@@ -40,7 +42,8 @@ PlatformSpec pipeline_spec(Probability producer_fault = Probability::zero(),
 }
 
 TEST(Platform, PeriodicActivationsCount) {
-  Platform platform(pipeline_spec(), 1);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 1);
   const SimReport report = platform.run(Duration::millis(100));
   // Producer releases at 0,10,...,90 = 10; consumer at 5,15,...,95 = 10.
   EXPECT_EQ(report.tasks[0].activations, 10u);
@@ -50,7 +53,8 @@ TEST(Platform, PeriodicActivationsCount) {
 }
 
 TEST(Platform, NoFaultsNoFailures) {
-  Platform platform(pipeline_spec(), 2);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 2);
   const SimReport report = platform.run(Duration::millis(100));
   for (const TaskStats& stats : report.tasks) {
     EXPECT_EQ(stats.failures, 0u);
@@ -61,7 +65,8 @@ TEST(Platform, NoFaultsNoFailures) {
 }
 
 TEST(Platform, InjectedValueFaultPropagatesDownstream) {
-  Platform platform(pipeline_spec(), 3);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 3);
   FaultInjection injection;
   injection.kind = FaultKind::kValue;
   injection.target = 0;  // producer
@@ -77,8 +82,9 @@ TEST(Platform, InjectedValueFaultPropagatesDownstream) {
 TEST(Platform, InputCheckContainsTaint) {
   // A perfect acceptance check drops the taint: detection recorded, no
   // propagated failure.
-  Platform platform(pipeline_spec(Probability::zero(), Probability::one()),
-                    4);
+  const PlatformSpec spec =
+      pipeline_spec(Probability::zero(), Probability::one());
+  Platform platform(spec, 4);
   FaultInjection injection;
   injection.kind = FaultKind::kValue;
   injection.target = 0;
@@ -93,7 +99,8 @@ TEST(Platform, InputCheckContainsTaint) {
 TEST(Platform, CleanOverwriteClearsRegionTaint) {
   // Taint injected at activation 2 is overwritten by the clean activation
   // 3, so only a bounded window of consumer activations is affected.
-  Platform platform(pipeline_spec(), 5);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 5);
   FaultInjection injection;
   injection.kind = FaultKind::kValue;
   injection.target = 0;
@@ -104,7 +111,8 @@ TEST(Platform, CleanOverwriteClearsRegionTaint) {
 }
 
 TEST(Platform, CrashStopsActivations) {
-  Platform platform(pipeline_spec(), 6);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 6);
   FaultInjection injection;
   injection.kind = FaultKind::kCrash;
   injection.target = 0;
@@ -118,7 +126,8 @@ TEST(Platform, CrashStopsActivations) {
 }
 
 TEST(Platform, MemoryScribbleTaintsRegion) {
-  Platform platform(pipeline_spec(), 7);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 7);
   FaultInjection injection;
   injection.kind = FaultKind::kMemoryScribble;
   injection.target = 0;
@@ -130,7 +139,8 @@ TEST(Platform, MemoryScribbleTaintsRegion) {
 
 TEST(Platform, DeterministicForSeed) {
   auto run = [](std::uint64_t seed) {
-    Platform platform(pipeline_spec(Probability(0.3)), seed);
+    const PlatformSpec spec = pipeline_spec(Probability(0.3));
+    Platform platform(spec, seed);
     return platform.run(Duration::millis(200));
   };
   const SimReport a = run(11);
@@ -172,7 +182,8 @@ PlatformSpec timing_spec(SchedPolicy policy) {
 TEST(Platform, TimingFaultTransmitsUnderNonPreemptiveScheduling) {
   // "If non-preemptive scheduling is used, then a timing fault (e.g., a
   // task in an infinite loop) can cause all other tasks also to fail."
-  Platform platform(timing_spec(SchedPolicy::kNonPreemptiveFifo), 21);
+  const PlatformSpec spec = timing_spec(SchedPolicy::kNonPreemptiveFifo);
+  Platform platform(spec, 21);
   FaultInjection injection;
   injection.kind = FaultKind::kTiming;
   injection.target = 0;  // hog
@@ -187,7 +198,8 @@ TEST(Platform, TimingFaultTransmitsUnderNonPreemptiveScheduling) {
 TEST(Platform, PreemptiveSchedulingContainsTimingFault) {
   // "The probability of transmission of the timing fault can be minimized
   // by using preemptive scheduling."
-  Platform platform(timing_spec(SchedPolicy::kPreemptiveEdf), 22);
+  const PlatformSpec spec = timing_spec(SchedPolicy::kPreemptiveEdf);
+  Platform platform(spec, 22);
   FaultInjection injection;
   injection.kind = FaultKind::kTiming;
   injection.target = 0;
@@ -198,6 +210,47 @@ TEST(Platform, PreemptiveSchedulingContainsTimingFault) {
   // The urgent task preempts the inflated hog and keeps meeting deadlines.
   EXPECT_EQ(report.tasks[1].deadline_misses, 0u);
   EXPECT_FALSE(report.propagated(0, 1));
+}
+
+TEST(Platform, TimingFaultRejectsUnrepresentableCostFactors) {
+  // A factor that is not finite, is negative, or inflates the 10 ms cost
+  // past Instant::distant_future() has no inflated cost to run.
+  const PlatformSpec spec = timing_spec(SchedPolicy::kPreemptiveEdf);
+  for (const double factor :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -1.0, 1e300}) {
+    Platform platform(spec, 23);
+    FaultInjection injection;
+    injection.kind = FaultKind::kTiming;
+    injection.target = 0;
+    injection.cost_factor = factor;
+    EXPECT_THROW(platform.inject(injection), InvalidArgument) << factor;
+  }
+}
+
+TEST(Platform, TimingFaultAcceptsRepresentableCostFactors) {
+  const PlatformSpec spec = timing_spec(SchedPolicy::kPreemptiveEdf);
+  auto run = [&](double factor) {
+    Platform platform(spec, 24);
+    FaultInjection injection;
+    injection.kind = FaultKind::kTiming;
+    injection.target = 0;  // hog: 10 ms cost, 100 ms deadline
+    injection.cost_factor = factor;
+    platform.inject(injection);
+    return platform.run(Duration::millis(100));
+  };
+  // 0: the activation completes at once; 3: 30 ms, still in time.
+  for (const double factor : {0.0, 3.0}) {
+    const SimReport report = run(factor);
+    EXPECT_EQ(report.tasks[0].completions, 1u) << factor;
+    EXPECT_EQ(report.tasks[0].deadline_misses, 0u) << factor;
+  }
+  // 1e13: 1e17 us of work, far past the horizon but representable — the
+  // run waits for it, and it completes late.
+  const SimReport late = run(1e13);
+  EXPECT_EQ(late.tasks[0].completions, 1u);
+  EXPECT_EQ(late.tasks[0].deadline_misses, 1u);
 }
 
 TEST(Platform, ChannelsCarryTaintToReceivers) {
@@ -255,7 +308,8 @@ TEST(Platform, ProcessorCrashAbandonsJobsAndStopsReleases) {
   // Crash at 6ms: the producer's first activation (0-2ms) completed; the
   // consumer released at 5ms is in service and gets abandoned. Nothing on
   // the processor activates again.
-  Platform platform(pipeline_spec(), 61);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 61);
   platform.crash_processor_at(0, Duration::millis(6));
   const SimReport report = platform.run(Duration::millis(100));
   EXPECT_EQ(report.processors_crashed, 1u);
@@ -291,7 +345,8 @@ TEST(Platform, RegionCorruptionBlamesTheNamedOrigin) {
   // Corrupt the shared region at 4ms, blaming the producer: the consumer's
   // 5ms read consumes the taint and the failure traces to the producer even
   // though the producer itself never faulted.
-  Platform platform(pipeline_spec(), 63);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 63);
   platform.corrupt_region_at(RegionId(0), Duration::millis(4), 0);
   const SimReport report = platform.run(Duration::millis(50));
   EXPECT_EQ(report.tasks[0].own_faults, 0u);
@@ -301,7 +356,8 @@ TEST(Platform, RegionCorruptionBlamesTheNamedOrigin) {
 }
 
 TEST(Platform, FaultBurstCoversConsecutiveActivations) {
-  Platform platform(pipeline_spec(), 64);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 64);
   FaultInjection injection;
   injection.kind = FaultKind::kValue;
   injection.target = 0;
@@ -313,7 +369,8 @@ TEST(Platform, FaultBurstCoversConsecutiveActivations) {
 }
 
 TEST(Platform, BabblingTaskFaultsEveryActivationUntilHorizon) {
-  Platform platform(pipeline_spec(), 65);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 65);
   FaultInjection injection;
   injection.kind = FaultKind::kValue;
   injection.target = 0;
@@ -326,13 +383,15 @@ TEST(Platform, BabblingTaskFaultsEveryActivationUntilHorizon) {
 }
 
 TEST(Platform, RunsExactlyOnce) {
-  Platform platform(pipeline_spec(), 51);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 51);
   platform.run(Duration::millis(10));
   EXPECT_THROW(platform.run(Duration::millis(10)), InvalidArgument);
 }
 
 TEST(Platform, InjectionAfterRunRejected) {
-  Platform platform(pipeline_spec(), 52);
+  const PlatformSpec spec = pipeline_spec();
+  Platform platform(spec, 52);
   platform.run(Duration::millis(10));
   EXPECT_THROW(platform.inject(FaultInjection{}), InvalidArgument);
 }
